@@ -120,11 +120,11 @@ int main(int argc, char** argv) {
     for (const std::size_t count : {1u, 8u, 64u, 256u, 1024u}) {
       const double flat_ns = timeNs([&] {
         const auto l = ddt::flatten(wl.type, count);
-        g_sink += l.blockCount();
+        g_sink = g_sink + l.blockCount();
       });
       const double naive_ns = timeNs([&] {
         const auto segs = naiveFlatten(wl.type, count);
-        g_sink += segs.size();
+        g_sink = g_sink + segs.size();
       });
       const auto layout = ddt::flatten(wl.type, count);
       const std::size_t naive_bytes =
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
       std::vector<std::byte> packed(layout.size());
 
       const double pack_ns = timeNs([&] {
-        g_sink += ddt::packCpu(layout, origin, packed);
+        g_sink = g_sink + ddt::packCpu(layout, origin, packed);
       });
       const auto segs = naiveFlatten(wl.type, count);
       const double naive_ns = timeNs([&] {
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
           std::copy_n(origin.begin() + s.offset, s.len, packed.begin() + out);
           out += s.len;
         }
-        g_sink += out;
+        g_sink = g_sink + out;
       });
       const auto bytes = static_cast<double>(layout.size());
       pack_rows.push_back(PackRow{wl.name, count, layout.size(),
@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
   const auto sweep_wl = workloads::milcZdown(32);
   constexpr std::size_t kSweepCounts = 512;
   for (std::size_t count = 1; count <= kSweepCounts; ++count) {
-    g_sink += cache.get(sweep_wl.type, count)->blockCount();
+    g_sink = g_sink + cache.get(sweep_wl.type, count)->blockCount();
   }
   const auto& cc = cache.counters();
   const double lookups = static_cast<double>(cc.hits + cc.misses);

@@ -98,7 +98,7 @@ class ShadowEngine {
     auto it = std::find_if(
         parked_.begin(), parked_.end(),
         [](const std::unique_ptr<bool>& done) { return *done; });
-    if (it != parked_.end()) g_sink += 1;
+    if (it != parked_.end()) g_sink = g_sink + 1;
   }
 
   TimeNs now_{0};
@@ -175,13 +175,13 @@ Row benchEmpty() {
   const double engine_ns = timeNs([&] {
     sim::Engine eng;
     drive(eng, 42, [](sim::Engine& e, Rng& rng) {
-      e.schedule(rng.below(1 << 16), [] { ++g_sink; });
+      e.schedule(rng.below(1 << 16), [] { g_sink = g_sink + 1; });
     });
   });
   const double shadow_ns = timeNs([&] {
     ShadowEngine eng(kParkedTasks);
     drive(eng, 42, [](ShadowEngine& e, Rng& rng) {
-      e.schedule(e.now() + rng.below(1 << 16), [] { ++g_sink; });
+      e.schedule(e.now() + rng.below(1 << 16), [] { g_sink = g_sink + 1; });
     });
   });
   return Row{"empty_callback", kEvents, engine_ns / kEvents,
@@ -195,7 +195,7 @@ Row benchCaptureHeavy() {
     drive(eng, 43, [&payload](sim::Engine& e, Rng& rng) {
       payload.words[0] = rng.next();
       e.schedule(rng.below(1 << 16),
-                 [payload] { g_sink += payload.words[0]; });
+                 [payload] { g_sink = g_sink + payload.words[0]; });
     });
   });
   const double shadow_ns = timeNs([&] {
@@ -204,7 +204,7 @@ Row benchCaptureHeavy() {
     drive(eng, 43, [&payload](ShadowEngine& e, Rng& rng) {
       payload.words[0] = rng.next();
       e.schedule(e.now() + rng.below(1 << 16),
-                 [payload] { g_sink += payload.words[0]; });
+                 [payload] { g_sink = g_sink + payload.words[0]; });
     });
   });
   return Row{"capture_heavy_96B", kEvents, engine_ns / kEvents,
@@ -215,12 +215,12 @@ sim::Task<void> resumeLoop(sim::Engine& eng, std::size_t resumes) {
   for (std::size_t i = 0; i < resumes; ++i) {
     co_await eng.delay(100);
   }
-  ++g_sink;
+  g_sink = g_sink + 1;
 }
 
 sim::Task<void> parkedTask(sim::Engine& eng) {
   co_await eng.delay(sec(3600));
-  ++g_sink;
+  g_sink = g_sink + 1;
 }
 
 Row benchCoroutineResume() {
@@ -251,7 +251,7 @@ Row benchCoroutineResume() {
       TimeNs at{0};
       void fire() {
         if (left == 0) {
-          ++g_sink;
+          g_sink = g_sink + 1;
           return;
         }
         --left;

@@ -65,7 +65,7 @@ void MsgPlane::idle(Proc&, const RequestPtr&) {}
 void MsgPlane::sendEager(Proc& p, const RequestPtr& req) {
   if (!req->data_in_flight) {
     p.issueEagerData(req);
-  } else if (!req->complete && p.retransDue(*req)) {
+  } else if (!req->complete && p.retransDue(req)) {
     p.sendEagerOnWire(req);  // un-ACKed: back on the wire
   }
 }
@@ -73,19 +73,19 @@ void MsgPlane::sendEager(Proc& p, const RequestPtr& req) {
 void MsgPlane::sendRget(Proc& p, const RequestPtr& req) {
   if (!req->rts_sent) {
     p.issueRts(req);
-  } else if (!req->complete && p.retransDue(*req)) {
+  } else if (!req->complete && p.retransDue(req)) {
     p.sendRtsOnWire(req);  // RTS (or its FIN) was lost
   }
 }
 
 void MsgPlane::sendRput(Proc& p, const RequestPtr& req) {
   if (!req->cts_received) {
-    if (req->rts_sent && p.retransDue(*req)) p.sendRtsOnWire(req);
+    if (req->rts_sent && p.retransDue(req)) p.sendRtsOnWire(req);
   } else if (!req->data_in_flight) {
     req->data_in_flight = true;
     p.issueRputData(req);
     p.armRetrans(req);  // data phase gets its own (fresh) backoff
-  } else if (!req->data_delivered && p.retransDue(*req)) {
+  } else if (!req->data_delivered && p.retransDue(req)) {
     p.issueRputData(req);  // the RDMA write was dropped
   }
   if (req->data_delivered && !req->complete) {
@@ -103,11 +103,11 @@ void MsgPlane::sendRput(Proc& p, const RequestPtr& req) {
 void MsgPlane::sendDirect(Proc& p, const RequestPtr& req) {
   // Receiver-driven; FIN completes us. A lost RTS or FIN surfaces as a
   // timeout here, and the receiver answers duplicates idempotently.
-  if (!req->complete && p.retransDue(*req)) p.sendRtsOnWire(req);
+  if (!req->complete && p.retransDue(req)) p.sendRtsOnWire(req);
 }
 
 void MsgPlane::recvRgetRetry(Proc& p, const RequestPtr& req) {
-  if (p.retransDue(*req)) {
+  if (p.retransDue(req)) {
     p.issueRgetRead(req, req->rget_sender);  // the RDMA read was dropped
   }
 }

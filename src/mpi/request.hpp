@@ -76,10 +76,11 @@ struct Request {
   // ---- Change-driven progress bookkeeping (batched message plane) ----
   // The batched plane only advances requests whose state could have moved:
   // `progress_order` pins the activation (= seed scan) order, and the two
-  // membership flags dedupe entries on the owning Proc's timed/dirty sets.
+  // membership flags dedupe entries on the owning Proc's ticket/dirty lists
+  // (armed deadlines go to the Proc's deadline heap, which needs no flag).
   // All three are inert when the seed shadow path is active.
   std::uint64_t progress_order{0};  ///< activation order, the pass sort key
-  bool in_timed{false};             ///< on the proc's every-poll timed set
+  bool in_ticketed{false};          ///< on the proc's every-pass ticket list
   bool in_dirty{false};             ///< marked for the next progress pass
 
   // ---- Reliable-transport state (ReliabilityConfig::enabled) ----
@@ -88,8 +89,11 @@ struct Request {
   // sender retransmits on timeout with exponential backoff. All fields stay
   // at their defaults when reliability is off, so the fault-free protocol
   // is bit-identical to the unreliable one.
-  std::uint64_t seq{0};
-  bool seq_assigned{false};
+  std::uint64_t seq{0};          ///< 0 = not yet on the wire this activation
+  /// Highest eager seq the receiver has accepted from this send (receiver-
+  /// set, like rndv_matched). Never reset on a persistent restart: seqs
+  /// only grow, so a late duplicate of an earlier activation still drops.
+  std::uint64_t delivered_seq{0};
   TimeNs retrans_deadline{0};    ///< 0 = no retransmission armed
   DurationNs retrans_timeout{0};
   std::size_t retransmissions{0};
@@ -115,6 +119,11 @@ struct Request {
            (tag == kAnyTag || tag == msg_tag);
   }
 };
+
+// Requests are built per message on the hot path (arena-recycled control
+// blocks); a bigger Request measurably slows the bulk workloads, so growth
+// has to be paid for by a field removed elsewhere.
+static_assert(sizeof(Request) <= 616, "mpi::Request grew past 616 bytes");
 
 using RequestPtr = std::shared_ptr<Request>;
 

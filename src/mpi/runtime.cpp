@@ -156,8 +156,7 @@ void Proc::resetActivationState(Request& req) {
   req.staging = {};
   req.staging_owned = false;
   req.eager_data.reset();
-  req.seq = 0;
-  req.seq_assigned = false;  // a restart is a new message -> new seq
+  req.seq = 0;  // a restart is a new message -> new seq
   req.retrans_deadline = 0;
   req.retrans_timeout = 0;
   req.retransmissions = 0;
@@ -220,7 +219,7 @@ sim::Task<void> Proc::activateSend(RequestPtr req) {
         req->ticket_pending = false;
         req->pack_done = true;
       } else {
-        markTimed(req);  // poll the pack ticket every pass
+        markTicketed(req);  // poll the pack ticket every pass
       }
     }
     req->protocol = req->data_bytes <= machine.eager_threshold
@@ -366,10 +365,11 @@ void Proc::armRetrans(const RequestPtr& req) {
   const ReliabilityConfig& rc = rt_->config().reliability;
   if (req->retrans_timeout == 0) req->retrans_timeout = rc.base_timeout;
   req->retrans_deadline = rt_->engine().now() + req->retrans_timeout;
-  markTimed(req);
+  fileDeadline(req);
 }
 
-bool Proc::retransDue(Request& req) {
+bool Proc::retransDue(const RequestPtr& ptr) {
+  Request& req = *ptr;
   if (!reliabilityOn() || req.retrans_deadline == 0) return false;
   if (rt_->engine().now() < req.retrans_deadline) return false;
   const ReliabilityConfig& rc = rt_->config().reliability;
@@ -385,6 +385,10 @@ bool Proc::retransDue(Request& req) {
                               rc.backoff),
       rc.max_timeout);
   req.retrans_deadline = rt_->engine().now() + req.retrans_timeout;
+  // File the re-armed deadline even when no heap entry led here: a slow
+  // pass scans every active request, and virtual time advances across its
+  // DirectIPC suspension, so it can fire deadlines the pass never popped.
+  fileDeadline(ptr);
   return true;
 }
 
@@ -440,9 +444,11 @@ void Proc::sendEagerOnWire(const RequestPtr& req) {
 void Proc::sendRtsOnWire(const RequestPtr& req) {
   Runtime* rt = rt_;
   const int dst_rank = req->peer;
+  const std::uint64_t seq = req->seq;
   rt->cluster().fabric().sendControl(
       rt->nodeOfRank(rank_), rt->nodeOfRank(dst_rank),
-      [rt, dst_rank, req] { rt->proc(dst_rank).onRts(req); }, req->tenant);
+      [rt, dst_rank, req, seq] { rt->proc(dst_rank).onRts(req, seq); },
+      req->tenant);
 }
 
 // --------------------------------------------------------------------------
@@ -450,10 +456,7 @@ void Proc::sendRtsOnWire(const RequestPtr& req) {
 // Plain functions (they only push bytes on the wire and flip flags): the
 // activation and progress paths call them frame-free.
 void Proc::issueEagerData(const RequestPtr& req) {
-  if (!req->seq_assigned) {
-    req->seq = next_seq_++;
-    req->seq_assigned = true;
-  }
+  if (req->seq == 0) req->seq = next_seq_++;
   sendEagerOnWire(req);
   req->data_in_flight = true;
   if (reliabilityOn()) {
@@ -473,10 +476,7 @@ void Proc::issueEagerData(const RequestPtr& req) {
 
 void Proc::issueRts(const RequestPtr& req) {
   req->rts_sent = true;
-  if (!req->seq_assigned) {
-    req->seq = next_seq_++;
-    req->seq_assigned = true;
-  }
+  if (req->seq == 0) req->seq = next_seq_++;
   sendRtsOnWire(req);
   armRetrans(req);
 }
@@ -490,15 +490,19 @@ void Proc::onEager(int src_rank, int msg_tag, std::uint64_t seq,
     const int sender_rank = src_rank;
     rt->cluster().fabric().sendControl(
         rt->nodeOfRank(rank_), rt->nodeOfRank(sender_rank),
-        [rt, sender_rank, sender_req] {
-          rt->proc(sender_rank).onEagerAck(sender_req);
+        [rt, sender_rank, sender_req, seq] {
+          rt->proc(sender_rank).onEagerAck(sender_req, seq);
         },
         sender_req->tenant);
     ++transport_.acks_sent;
-    if (!eager_seen_[src_rank].insert(seq).second) {
+    // Seqs grow per sending rank, so a high-water mark on the sender's
+    // request dedupes retransmissions and late copies of earlier
+    // activations alike.
+    if (seq <= sender_req->delivered_seq) {
       ++transport_.duplicates_ignored;
       return;
     }
+    sender_req->delivered_seq = seq;
   }
   RequestPtr recv = matchPosted(src_rank, msg_tag);
   if (!recv) {
@@ -508,8 +512,8 @@ void Proc::onEager(int src_rank, int msg_tag, std::uint64_t seq,
   startEagerDelivery(std::move(recv), std::move(data));
 }
 
-void Proc::onEagerAck(RequestPtr sender_req) {
-  if (sender_req->complete) {
+void Proc::onEagerAck(RequestPtr sender_req, std::uint64_t seq) {
+  if (sender_req->complete || seq != sender_req->seq) {
     ++transport_.duplicates_ignored;
     return;
   }
@@ -551,14 +555,14 @@ void Proc::startEagerDelivery(RequestPtr recv, net::PayloadRef data) {
       r->eager_data.reset();
       p.noteComplete(*r);
     } else {
-      p.markTimed(r);  // poll the unpack ticket every pass
+      p.markTicketed(r);  // poll the unpack ticket every pass
     }
   }(*self, std::move(recv)));
 }
 
-void Proc::onRts(RequestPtr sender_req) {
+void Proc::onRts(RequestPtr sender_req, std::uint64_t seq) {
   if (reliabilityOn()) {
-    if (sender_req->complete) {
+    if (sender_req->complete || seq != sender_req->seq) {
       ++transport_.duplicates_ignored;
       return;
     }
@@ -587,6 +591,10 @@ void Proc::answerDuplicateRts(const RequestPtr& sender_req) {
   const int my_node = rt->nodeOfRank(rank_);
   const int sender_node = rt->nodeOfRank(sender_req->owner_rank);
   const int sender_rank = sender_req->owner_rank;
+  const std::uint64_t seq = sender_req->seq;
+  // The receive that matched this activation. A persistent receive may
+  // have been restarted since, so "still serving this send" is read from
+  // its link back to the sender, not from its completion flags.
   const RequestPtr prior = sender_req->rndv_recv.lock();
   switch (sender_req->protocol) {
     case Protocol::RPut:
@@ -595,30 +603,30 @@ void Proc::answerDuplicateRts(const RequestPtr& sender_req) {
         const gpu::MemSpan dst = prior->delivery_span;
         rt->cluster().fabric().sendControl(
             my_node, sender_node,
-            [rt, sender_rank, sender_req, dst] {
-              rt->proc(sender_rank).onCts(sender_req, dst);
+            [rt, sender_rank, sender_req, dst, seq] {
+              rt->proc(sender_rank).onCts(sender_req, dst, seq);
             },
             sender_req->tenant);
       }
       break;
     case Protocol::RGet:
-      if (!prior || prior->data_delivered) {
+      if (!prior || prior->rget_sender != sender_req) {
         // The data landed but the FIN was lost: repeat it. (An expired
         // weak_ptr means the receive retired long ago.)
         rt->cluster().fabric().sendControl(
             my_node, sender_node,
-            [rt, sender_rank, sender_req] {
-              rt->proc(sender_rank).onFin(sender_req);
+            [rt, sender_rank, sender_req, seq] {
+              rt->proc(sender_rank).onFin(sender_req, seq);
             },
             sender_req->tenant);
       }
       break;
     case Protocol::DirectIpc:
-      if (!prior || prior->complete) {
+      if (!prior || prior->paired != sender_req) {
         rt->cluster().fabric().sendControl(
             my_node, sender_node,
-            [rt, sender_rank, sender_req] {
-              rt->proc(sender_rank).onFin(sender_req);
+            [rt, sender_rank, sender_req, seq] {
+              rt->proc(sender_rank).onFin(sender_req, seq);
             },
             sender_req->tenant);
       }
@@ -668,12 +676,13 @@ void Proc::startRendezvousDelivery(RequestPtr recv, RequestPtr sender_req) {
       // CTS hands the sender our staging address; the sender RDMA-WRITEs
       // once its packing finished (overlap with the handshake, §IV-B1).
       const int sender_rank = sender_req->owner_rank;
+      const std::uint64_t seq = sender_req->seq;
       sender_req->paired = recv;
       const gpu::MemSpan dst = recv->delivery_span;
       rt->cluster().fabric().sendControl(
           my_node, sender_node,
-          [rt, sender_rank, sender_req, dst] {
-            rt->proc(sender_rank).onCts(sender_req, dst);
+          [rt, sender_rank, sender_req, dst, seq] {
+            rt->proc(sender_rank).onCts(sender_req, dst, seq);
           },
           sender_req->tenant);
       break;
@@ -688,9 +697,10 @@ void Proc::issueRgetRead(const RequestPtr& recv, const RequestPtr& sender_req) {
   Proc* self = this;
   const int my_node = rt->nodeOfRank(rank_);
   const int sender_node = rt->nodeOfRank(sender_req->owner_rank);
+  const std::uint64_t seq = sender_req->seq;
   rt->cluster().fabric().rdmaRead(
       my_node, sender_node, sender_req->staging, recv->delivery_span,
-      [self, rt, recv, sender_req, my_node, sender_node] {
+      [self, rt, recv, sender_req, my_node, sender_node, seq] {
         if (recv->data_delivered) return;  // a retried read already landed
         recv->data_delivered = true;
         recv->rget_sender.reset();
@@ -699,37 +709,48 @@ void Proc::issueRgetRead(const RequestPtr& recv, const RequestPtr& sender_req) {
         const int sender_rank = sender_req->owner_rank;
         rt->cluster().fabric().sendControl(
             my_node, sender_node,
-            [rt, sender_rank, sender_req] {
-              rt->proc(sender_rank).onFin(sender_req);
+            [rt, sender_rank, sender_req, seq] {
+              rt->proc(sender_rank).onFin(sender_req, seq);
             },
             sender_req->tenant);
         self->finishRecvData(recv);
       },
-      [recv] { return !recv->data_delivered; }, sender_req->tenant);
+      // Wanted while this receive still reads this activation: a retried
+      // read landing after a persistent restart must not scribble. (Raw
+      // pointers keep the predicate inline; the callback holds the refs.)
+      [r = recv.get(), s = sender_req.get(), seq] {
+        return r->rget_sender.get() == s && s->seq == seq;
+      },
+      sender_req->tenant);
 }
 
 void Proc::issueRputData(const RequestPtr& req) {
   Runtime* rt = rt_;
   Proc* self = this;
   RequestPtr recv = req->paired;
-  Proc* receiver = &rt->proc(req->peer);
+  const std::uint64_t seq = req->seq;
   rt->cluster().fabric().rdmaWrite(
       rt->nodeOfRank(rank_), rt->nodeOfRank(req->peer), req->staging,
-      req->remote_staging, [self, req, recv, receiver] {
+      req->remote_staging, [self, req, recv, seq] {
         // Delivery: sender may release; receiver unpacks.
         if (req->data_delivered) return;  // a retried write already landed
         req->data_delivered = true;
         self->markDirty(req);  // sender's completion block runs next pass
         if (recv) {
           recv->data_delivered = true;
-          receiver->finishRecvData(recv);
+          self->rt_->proc(req->peer).finishRecvData(recv);
         }
       },
-      [req] { return !req->data_delivered; }, req->tenant);
+      // A retried write landing after a persistent restart is discarded.
+      [req, seq] { return req->seq == seq && !req->data_delivered; },
+      req->tenant);
 }
 
-void Proc::onCts(RequestPtr sender_req, gpu::MemSpan recv_staging) {
-  if (sender_req->cts_received) {  // duplicate from an answered dup-RTS
+void Proc::onCts(RequestPtr sender_req, gpu::MemSpan recv_staging,
+                 std::uint64_t seq) {
+  // A duplicate from an answered dup-RTS, or a late copy from an earlier
+  // activation of a persistent send.
+  if (sender_req->cts_received || seq != sender_req->seq) {
     ++transport_.duplicates_ignored;
     return;
   }
@@ -741,8 +762,10 @@ void Proc::onCts(RequestPtr sender_req, gpu::MemSpan recv_staging) {
   markDirty(sender_req);  // the data phase can start on the next pass
 }
 
-void Proc::onFin(RequestPtr sender_req) {
-  if (sender_req->complete) {  // duplicate from an answered dup-RTS
+void Proc::onFin(RequestPtr sender_req, std::uint64_t seq) {
+  // A duplicate from an answered dup-RTS, or a late copy from an earlier
+  // activation of a persistent send.
+  if (sender_req->complete || seq != sender_req->seq) {
     ++transport_.duplicates_ignored;
     return;
   }
@@ -775,7 +798,7 @@ void Proc::finishRecvData(RequestPtr recv) {
       p.releaseRecvStaging(*r);
       p.noteComplete(*r);
     } else {
-      p.markTimed(r);  // poll the unpack ticket every pass
+      p.markTicketed(r);  // poll the unpack ticket every pass
     }
   }(*self, std::move(recv)));
 }
@@ -804,7 +827,7 @@ sim::Task<void> Proc::tryDirect(RequestPtr recv) {
   }
   recv->ticket = t;
   recv->ticket_pending = true;
-  markTimed(recv);
+  markTicketed(recv);
 }
 
 void Proc::finishTicketedRecv(const RequestPtr& req) {
@@ -816,10 +839,11 @@ void Proc::finishTicketedRecv(const RequestPtr& req) {
     RequestPtr sender_req = std::move(req->paired);
     req->paired.reset();
     const int sender_rank = sender_req->owner_rank;
+    const std::uint64_t seq = sender_req->seq;
     rt->cluster().fabric().sendControl(
         rt->nodeOfRank(rank_), rt->nodeOfRank(sender_rank),
-        [rt, sender_rank, sender_req] {
-          rt->proc(sender_rank).onFin(sender_req);
+        [rt, sender_rank, sender_req, seq] {
+          rt->proc(sender_rank).onFin(sender_req, seq);
         },
         sender_req->tenant);
   }
@@ -844,25 +868,25 @@ sim::Task<void> Proc::progressRequest(RequestPtr req) {
       case Protocol::Eager:
         if (!req->data_in_flight) {
           issueEagerData(req);
-        } else if (!req->complete && retransDue(*req)) {
+        } else if (!req->complete && retransDue(req)) {
           sendEagerOnWire(req);  // un-ACKed: back on the wire
         }
         break;
       case Protocol::RGet:
         if (!req->rts_sent) {
           issueRts(req);
-        } else if (!req->complete && retransDue(*req)) {
+        } else if (!req->complete && retransDue(req)) {
           sendRtsOnWire(req);  // RTS (or its FIN) was lost
         }
         break;
       case Protocol::RPut:
         if (!req->cts_received) {
-          if (req->rts_sent && retransDue(*req)) sendRtsOnWire(req);
+          if (req->rts_sent && retransDue(req)) sendRtsOnWire(req);
         } else if (!req->data_in_flight) {
           req->data_in_flight = true;
           issueRputData(req);
           armRetrans(req);  // data phase gets its own (fresh) backoff
-        } else if (!req->data_delivered && retransDue(*req)) {
+        } else if (!req->data_delivered && retransDue(req)) {
           issueRputData(req);  // the RDMA write was dropped
         }
         if (req->data_delivered && !req->complete) {
@@ -879,7 +903,7 @@ sim::Task<void> Proc::progressRequest(RequestPtr req) {
       case Protocol::DirectIpc:
         // Receiver-driven; FIN completes us. A lost RTS or FIN surfaces as
         // a timeout here, and the receiver answers duplicates idempotently.
-        if (!req->complete && retransDue(*req)) sendRtsOnWire(req);
+        if (!req->complete && retransDue(req)) sendRtsOnWire(req);
         break;
     }
   } else if (req->kind == Request::Kind::Recv) {
@@ -887,7 +911,7 @@ sim::Task<void> Proc::progressRequest(RequestPtr req) {
       req->direct_retry = false;
       co_await tryDirect(req);
     } else if (req->rget_sender && !req->data_delivered &&
-               retransDue(*req)) {
+               retransDue(req)) {
       issueRgetRead(req, req->rget_sender);  // the RDMA read was dropped
     }
   }
@@ -921,28 +945,54 @@ void Proc::markDirty(const RequestPtr& req) {
   dirty_.push_back(req);
 }
 
-void Proc::markTimed(const RequestPtr& req) {
+void Proc::markTicketed(const RequestPtr& req) {
   if (!rt_->config().batched_message_plane) return;  // shadow never reads it
-  if (req->complete || req->in_timed) return;
-  req->in_timed = true;
-  timed_.push_back(req);
+  if (req->complete || req->in_ticketed) return;
+  req->in_ticketed = true;
+  ticketed_.push_back(req);
+}
+
+namespace {
+// The std heap algorithms build max-heaps; ordering by "later" puts the
+// earliest deadline at the front.
+constexpr auto laterDeadline = [](const auto& a, const auto& b) {
+  return a.at > b.at;
+};
+}  // namespace
+
+void Proc::fileDeadline(const RequestPtr& req) {
+  if (!rt_->config().batched_message_plane) return;  // shadow never reads it
+  deadlines_.push_back({req->retrans_deadline, req});
+  std::push_heap(deadlines_.begin(), deadlines_.end(), laterDeadline);
 }
 
 sim::Task<void> Proc::progressPass() {
-  // Capture this pass's candidates up front; marks arriving mid-pass (only
-  // possible across a DirectIPC suspension) land in a fresh dirty_ and are
-  // picked up by the next pass.
-  pass_scratch_.assign(timed_.begin(), timed_.end());
-  bool slow = false;
-  for (const RequestPtr& r : pass_scratch_) {
-    slow |= !r->complete && r->direct_retry;
-  }
+  // Capture this pass's candidates up front: the ticket holders, the dirty
+  // requests and the due deadlines. Marks and deadlines arriving mid-pass
+  // (only possible across a DirectIPC suspension) wait for the next pass.
+  pass_scratch_.assign(ticketed_.begin(), ticketed_.end());
   for (RequestPtr& r : dirty_) {
     r->in_dirty = false;
-    slow |= !r->complete && r->direct_retry;
-    if (!r->in_timed) pass_scratch_.push_back(std::move(r));
+    pass_scratch_.push_back(std::move(r));
   }
   dirty_.clear();
+  const TimeNs now = rt_->engine().now();
+  while (!deadlines_.empty() && deadlines_.front().at <= now) {
+    std::pop_heap(deadlines_.begin(), deadlines_.end(), laterDeadline);
+    Deadline due = std::move(deadlines_.back());
+    deadlines_.pop_back();
+    // A stale entry holds no payload ref and has nothing to act on. A due
+    // deadline of a send still packing (an RPut RTS) pops as a no-op too:
+    // its pack ticket keeps it in every pass, and retransDue fires and
+    // re-files once the pack lands, exactly as a full scan would.
+    if (!due.req->complete && due.req->retrans_deadline == due.at) {
+      pass_scratch_.push_back(std::move(due.req));
+    }
+  }
+  // Every direct_retry request is marked dirty, so this sees each one.
+  const bool slow = std::any_of(
+      pass_scratch_.begin(), pass_scratch_.end(),
+      [](const RequestPtr& r) { return !r->complete && r->direct_retry; });
 
   if (slow) {
     // A DirectIPC enqueue suspends, and flag flips arriving across the
@@ -962,21 +1012,25 @@ sim::Task<void> Proc::progressPass() {
     // Pure table pass, fully synchronous: no suspension can interleave an
     // event, so the candidate set is complete and classification is
     // stable. Activation order keeps the emitted action stream identical
-    // to the seed's full scan (every skipped request is a proven no-op).
+    // to the seed's full scan: every skipped request is a proven no-op,
+    // since it holds no ticket, no event marked it and its deadline (if
+    // any) is not due. A request can be a candidate more than once.
     std::sort(pass_scratch_.begin(), pass_scratch_.end(),
               [](const RequestPtr& a, const RequestPtr& b) {
                 return a->progress_order < b->progress_order;
               });
+    pass_scratch_.erase(
+        std::unique(pass_scratch_.begin(), pass_scratch_.end()),
+        pass_scratch_.end());
     for (const RequestPtr& req : pass_scratch_) {
       const bool fast = MsgPlane::advance(*this, req);
       DKF_CHECK(fast);  // direct_retry would have forced the slow scan
     }
   }
   pass_scratch_.clear();
-  std::erase_if(timed_, [](const RequestPtr& r) {
-    const bool keep =
-        !r->complete && (r->ticket_pending || r->retrans_deadline != 0);
-    if (!keep) r->in_timed = false;
+  std::erase_if(ticketed_, [](const RequestPtr& r) {
+    const bool keep = !r->complete && r->ticket_pending;
+    if (!keep) r->in_ticketed = false;
     return !keep;
   });
   std::erase_if(active_, [](const RequestPtr& r) { return r->complete; });
@@ -988,9 +1042,14 @@ sim::Task<void> Proc::progressOnce() {
   if (rt_->config().batched_message_plane) {
     // Hot path: change-driven. Steady-state requests complete inside
     // fabric/engine handlers; a pass only runs while some request holds a
-    // live ticket or armed deadline (timed_) or an event enabled an action
-    // since the last poll (dirty_). An idle poll costs O(1).
-    if (!timed_.empty() || !dirty_.empty()) co_await progressPass();
+    // live ticket, an event enabled an action since the last poll, or an
+    // armed retransmission deadline has come due. Any other poll costs
+    // O(1), however many deadlines are armed.
+    if (!ticketed_.empty() || !dirty_.empty() ||
+        (!deadlines_.empty() &&
+         deadlines_.front().at <= rt_->engine().now())) {
+      co_await progressPass();
+    }
     co_return;
   }
   // Seed shadow: one coroutine frame per request per poll, iterating a

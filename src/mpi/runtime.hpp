@@ -17,8 +17,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/tenant.hpp"
@@ -251,13 +249,16 @@ class Proc {
   friend class Runtime;
   friend struct MsgPlane;  // the table-driven hot path advances requests
 
-  // Inbound protocol events (called at fabric delivery time).
+  // Inbound protocol events (called at fabric delivery time). Each carries
+  // the seq of the send activation it belongs to, so a late copy from an
+  // earlier activation of a restarted persistent send is dropped.
   void onEager(int src_rank, int msg_tag, std::uint64_t seq,
                RequestPtr sender_req, net::PayloadRef data);
-  void onEagerAck(RequestPtr sender_req);
-  void onRts(RequestPtr sender_req);
-  void onCts(RequestPtr sender_req, gpu::MemSpan recv_staging);
-  void onFin(RequestPtr sender_req);
+  void onEagerAck(RequestPtr sender_req, std::uint64_t seq);
+  void onRts(RequestPtr sender_req, std::uint64_t seq);
+  void onCts(RequestPtr sender_req, gpu::MemSpan recv_staging,
+             std::uint64_t seq);
+  void onFin(RequestPtr sender_req, std::uint64_t seq);
 
   /// Try to match an inbound message against posted receives.
   RequestPtr matchPosted(int src_rank, int msg_tag);
@@ -275,19 +276,23 @@ class Proc {
   /// One pass of the progress engine.
   sim::Task<void> progressOnce();
   /// One batched-plane pass over the requests that can actually act: the
-  /// timed set (DDT tickets, armed retransmissions) plus the requests an
-  /// event marked dirty since the last pass, advanced in activation order.
-  /// Falls back to the seed-order full scan whenever a DirectIPC retry is
-  /// pending, because that path suspends and flag flips arriving across
-  /// the suspension must stay visible to later requests in the same pass.
+  /// DDT-ticket holders, the requests an event marked dirty since the last
+  /// pass and the requests whose retransmission deadline is due, advanced
+  /// in activation order. Falls back to the seed-order full scan whenever
+  /// a DirectIPC retry is pending, because that path suspends and flag
+  /// flips arriving across the suspension must stay visible to later
+  /// requests in the same pass.
   sim::Task<void> progressPass();
   /// Register a freshly activated request with the progress plane
   /// (activation order, active list, amortized sweep of completed entries).
   void registerActive(const RequestPtr& req);
   /// An event enabled an action on `req`: advance it on the next pass.
   void markDirty(const RequestPtr& req);
-  /// `req` needs polling every pass while its ticket or deadline is live.
-  void markTimed(const RequestPtr& req);
+  /// `req` holds a DDT ticket: poll it every pass until the ticket is done.
+  void markTicketed(const RequestPtr& req);
+  /// File `req`'s just-armed retransmission deadline in the deadline heap,
+  /// so the first pass at or after it advances the request.
+  void fileDeadline(const RequestPtr& req);
   /// Advance a single request's state machine — the seed coroutine path,
   /// kept intact as the shadow for batched_message_plane = false.
   sim::Task<void> progressRequest(RequestPtr req);
@@ -305,12 +310,13 @@ class Proc {
 
   // ---- Reliable transport (no-ops while ReliabilityConfig is off) ----
   bool reliabilityOn() const;
-  /// Arm (or re-arm) a request's retransmission deadline and join the
-  /// timed set so the batched plane keeps polling it.
+  /// Arm (or re-arm) a request's retransmission deadline and file it in
+  /// the deadline heap so the batched plane advances it once it is due.
   void armRetrans(const RequestPtr& req);
   /// True when the request's deadline passed: books one retransmission,
-  /// backs the timeout off, re-arms. DKF_CHECKs against max_retries.
-  bool retransDue(Request& req);
+  /// backs the timeout off, re-arms and files the new deadline.
+  /// DKF_CHECKs against max_retries.
+  bool retransDue(const RequestPtr& req);
   /// Receive staging with graceful degradation: device arena first, host
   /// memory when the (possibly injected) allocation fails.
   gpu::MemSpan allocStaging(Request& req, std::size_t bytes);
@@ -372,7 +378,15 @@ class Proc {
   std::vector<RequestPtr> progress_scratch_;  // reused per-poll snapshot
 
   // Change-driven progress state (batched plane only; see progressPass).
-  std::vector<RequestPtr> timed_;        // ticket/deadline holders, polled
+  /// A filed retransmission deadline. Stale once the request completes or
+  /// its retrans_deadline no longer equals `at` (ACKed, reset by a CTS, or
+  /// re-armed, which filed its own entry); a pass drops stale entries.
+  struct Deadline {
+    TimeNs at;
+    RequestPtr req;
+  };
+  std::vector<RequestPtr> ticketed_;     // DDT-ticket holders, every pass
+  std::vector<Deadline> deadlines_;      // binary min-heap on Deadline::at
   std::vector<RequestPtr> dirty_;        // event-marked since the last pass
   std::vector<RequestPtr> pass_scratch_; // reused per-pass work list
   std::uint64_t next_progress_order_{0};
@@ -398,9 +412,6 @@ class Proc {
   // Reliable-transport state.
   TransportCounters transport_;
   std::uint64_t next_seq_{1};
-  /// Eager sequence numbers already delivered, per source rank (dedup of
-  /// retransmitted payloads whose ACK was lost).
-  std::unordered_map<int, std::unordered_set<std::uint64_t>> eager_seen_;
 };
 
 class Runtime {

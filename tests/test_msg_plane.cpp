@@ -2,7 +2,8 @@
 // the DKF_AUDIT invariant checker, MatchTable / ArrivalQueue equivalence
 // with the seed's linear scans, LinkBatcher coalescing semantics, and
 // end-to-end determinism of the batched plane against the seed shadow —
-// identical completion order and bytes, fault-free and under 12% loss.
+// identical completions, bytes and virtual end time, fault-free and under
+// 12% loss, over eager, rendezvous (RGet, RPut) and DirectIPC traffic.
 //
 // The determinism fuzz runs under bench::parallelFor; gtest assertions are
 // not thread-safe, so workers record failure strings and the main thread
@@ -278,11 +279,58 @@ TEST(MsgPlaneBatcher, ReentrantEnqueueFromDeliveryIsDeferredNotLost) {
 
 // ---- End-to-end determinism: batched plane vs seed shadow ---------------
 
+/// One input of the batched-vs-shadow comparison: every rank sends `msgs`
+/// messages of `count` elements of `type()` to its right-hand neighbour,
+/// posting all receives, then all sends, back to back, so all ranks issue
+/// at the same virtual times and pile same-time deliveries onto shared
+/// links.
+struct Shape {
+  const char* name;
+  int nodes;
+  int msgs;
+  ddt::DatatypePtr (*type)();  // built per world: datatypes cache lazily
+  std::size_t count;
+  mpi::Protocol rendezvous{mpi::Protocol::RGet};
+  bool direct_ipc{false};
+  DurationNs base_timeout{us(40)};
+  /// One waiter coroutine per request (completion order traced) instead of
+  /// one waitall per rank. The seed shadow shares its per-poll snapshot
+  /// across concurrent pollers, which is only safe while no progress
+  /// action suspends, so DirectIPC shapes wait with one waitall per rank.
+  bool waiter_per_request{false};
+};
+
+// 16 KiB packed, 32 KiB extent: a non-contiguous message above lassen's
+// 8 KiB eager threshold.
+ddt::DatatypePtr stridedType() {
+  return ddt::Datatype::vector(512, 4, 8, ddt::Datatype::float64());
+}
+
+const Shape kEager512{"eager 512 B", 2, 24, &ddt::Datatype::byte, 512,
+                      mpi::Protocol::RGet, false, us(40), true};
+const Shape kStridedRget{"strided RGet", 2, 8, &stridedType, 1};
+const Shape kStridedRput{"strided RPut", 2, 8, &stridedType, 1,
+                         mpi::Protocol::RPut};
+// A 5 us timeout is shorter than a DirectIPC round trip, so deadlines come
+// due while a slow pass is suspended in its enqueue, and the pass's full
+// scan fires retransmissions no popped deadline led to.
+const Shape kDirectIpc{"intra-node DirectIPC", 1, 8, &stridedType, 1,
+                       mpi::Protocol::RGet, true, us(5)};
+// An RPut send arms its RTS deadline as soon as its pack is submitted, and
+// the fusion engine holds the pack until the sender's waitall flushes it:
+// a 500 ns timeout expires mid-pack, while the send cannot act yet.
+const Shape kRputPackTimeout{"RPut RTS timeout mid-pack", 2, 8, &stridedType,
+                             1, mpi::Protocol::RPut, false, ns(500)};
+const Shape kLossShapes[] = {kStridedRget, kStridedRput, kDirectIpc,
+                             kRputPackTimeout};
+
 struct WorldTrace {
   std::vector<std::uint64_t> completion_order;  // (rank << 32) | tag
+  std::vector<TimeNs> completed_at;             // every request, post order
   std::vector<std::byte> recv_bytes;            // all ranks, concatenated
   TimeNs end_time{0};
   std::size_t processed_events{0};
+  std::size_t retransmissions{0};
 };
 
 sim::Task<void> traceWait(mpi::Proc& p, mpi::RequestPtr req,
@@ -292,43 +340,54 @@ sim::Task<void> traceWait(mpi::Proc& p, mpi::RequestPtr req,
   order.push_back(id);
 }
 
-sim::Task<void> tracedRank(mpi::Proc& p, int ranks, int msgs,
-                           std::size_t msg_bytes, gpu::MemSpan sbuf,
-                           gpu::MemSpan rbuf,
+sim::Task<void> tracedRank(mpi::Proc& p, const Shape& shape, int ranks,
+                           gpu::MemSpan sbuf, gpu::MemSpan rbuf,
+                           std::vector<mpi::RequestPtr>& posted,
                            std::vector<std::uint64_t>& order) {
   const int me = p.rank();
   const int to = (me + 1) % ranks;
   const int from = (me + ranks - 1) % ranks;
-  auto type = ddt::Datatype::byte();
-  // Post everything back to back: all ranks issue at the same virtual
-  // times, piling same-time deliveries onto shared links.
-  for (int i = 0; i < msgs; ++i) {
-    auto rr = co_await p.irecv(rbuf.subspan(i * msg_bytes, msg_bytes), type,
-                               msg_bytes, from, i);
-    p.engine().spawn(traceWait(
-        p, std::move(rr),
-        (static_cast<std::uint64_t>(me) << 32) | static_cast<std::uint64_t>(i),
-        order));
+  const auto type = shape.type();
+  const auto region = static_cast<std::size_t>(type->extent()) * shape.count;
+  std::vector<mpi::RequestPtr> mine;
+  auto track = [&](mpi::RequestPtr req, int tag, std::uint64_t send_bit) {
+    if (shape.waiter_per_request) {
+      p.engine().spawn(traceWait(p, req,
+                                 (static_cast<std::uint64_t>(me) << 32) |
+                                     static_cast<std::uint64_t>(tag) |
+                                     send_bit,
+                                 order));
+    }
+    mine.push_back(std::move(req));
+  };
+  for (int i = 0; i < shape.msgs; ++i) {
+    track(co_await p.irecv(rbuf.subspan(i * region, region), type,
+                           shape.count, from, i),
+          i, 0);
   }
-  for (int i = 0; i < msgs; ++i) {
-    auto sr = co_await p.isend(sbuf.subspan(i * msg_bytes, msg_bytes), type,
-                               msg_bytes, to, i);
-    p.engine().spawn(traceWait(p, std::move(sr),
-                               (static_cast<std::uint64_t>(me) << 32) |
-                                   static_cast<std::uint64_t>(i) | (1ull << 63),
-                               order));
+  for (int i = 0; i < shape.msgs; ++i) {
+    track(co_await p.isend(sbuf.subspan(i * region, region), type,
+                           shape.count, to, i),
+          i, 1ull << 63);
   }
+  posted.insert(posted.end(), mine.begin(), mine.end());
+  if (!shape.waiter_per_request) co_await p.waitall(std::move(mine));
 }
 
-WorldTrace runTracedWorld(bool batched, double loss, std::uint64_t seed) {
-  constexpr int kMsgs = 24;
-  constexpr std::size_t kBytes = 512;  // eager on lassen
+WorldTrace runTracedWorld(const Shape& shape, bool batched, double loss,
+                          std::uint64_t seed) {
   sim::Engine eng;
-  hw::Cluster cluster(eng, hw::lassen(), 2);
+  hw::MachineSpec machine = hw::lassen();
+  // Each rank touches at most ~1 MiB; the default 96 MiB arena would spend
+  // most of the test zero-filling backing store.
+  machine.node.gpu.arena_bytes = 4u << 20;
+  hw::Cluster cluster(eng, machine, shape.nodes);
   std::optional<fault::FaultPlan> plan;
   mpi::RuntimeConfig cfg;
   cfg.batched_message_plane = batched;
   cfg.delivery_batching = batched;
+  cfg.rendezvous = shape.rendezvous;
+  cfg.enable_direct_ipc = shape.direct_ipc;
   if (loss > 0.0) {
     fault::FaultSpec fs;
     fs.seed = seed;
@@ -337,36 +396,44 @@ WorldTrace runTracedWorld(bool batched, double loss, std::uint64_t seed) {
     plan.emplace(eng, fs);
     cluster.setFaultPlan(&*plan);
     cfg.reliability.enabled = true;
-    cfg.reliability.base_timeout = us(40);
+    cfg.reliability.base_timeout = shape.base_timeout;
     cfg.reliability.max_timeout = us(2000);
     cfg.reliability.max_retries = 60;
     eng.setWatchdog(sec(5));
   }
   mpi::Runtime rt(cluster, cfg);
   const int ranks = rt.worldSize();
+  const std::size_t bytes =
+      static_cast<std::size_t>(shape.type()->extent()) * shape.count *
+      static_cast<std::size_t>(shape.msgs);
 
   WorldTrace trace;
   std::vector<gpu::MemSpan> sbufs, rbufs;
   for (int r = 0; r < ranks; ++r) {
     auto& p = rt.proc(r);
-    sbufs.push_back(p.allocDevice(kMsgs * kBytes));
-    rbufs.push_back(p.allocDevice(kMsgs * kBytes));
+    sbufs.push_back(p.allocDevice(bytes));
+    rbufs.push_back(p.allocDevice(bytes));
     Rng fill(seed ^ static_cast<std::uint64_t>(r));
     for (auto& b : sbufs.back().bytes) {
       b = static_cast<std::byte>(fill.below(256));
     }
-    std::memset(rbufs.back().bytes.data(), 0, kMsgs * kBytes);
+    std::memset(rbufs.back().bytes.data(), 0, bytes);
   }
+  std::vector<mpi::RequestPtr> posted;
   for (int r = 0; r < ranks; ++r) {
-    eng.spawn(tracedRank(rt.proc(r), ranks, kMsgs, kBytes, sbufs[r], rbufs[r],
+    eng.spawn(tracedRank(rt.proc(r), shape, ranks, sbufs[r], rbufs[r], posted,
                          trace.completion_order));
   }
   eng.run();
-  EXPECT_EQ(eng.unfinishedTasks(), 0u);
+  EXPECT_EQ(eng.unfinishedTasks(), 0u) << shape.name;
 
+  for (const mpi::RequestPtr& req : posted) {
+    trace.completed_at.push_back(req->completed_at);
+  }
   for (int r = 0; r < ranks; ++r) {
     trace.recv_bytes.insert(trace.recv_bytes.end(), rbufs[r].bytes.begin(),
                             rbufs[r].bytes.end());
+    trace.retransmissions += rt.proc(r).transport().retransmissions;
   }
   trace.end_time = eng.now();
   trace.processed_events = eng.processedEvents();
@@ -376,35 +443,51 @@ WorldTrace runTracedWorld(bool batched, double loss, std::uint64_t seed) {
 /// Compare the batched plane against the shadow for one seed; returns a
 /// diagnostic string (empty on success). Runs from parallelFor workers, so
 /// no gtest assertions here.
-std::string compareModes(double loss, std::uint64_t seed) {
-  const WorldTrace batched = runTracedWorld(true, loss, seed);
-  const WorldTrace shadow = runTracedWorld(false, loss, seed);
+std::string compareModes(const Shape& shape, double loss, std::uint64_t seed) {
+  const WorldTrace batched = runTracedWorld(shape, true, loss, seed);
+  const WorldTrace shadow = runTracedWorld(shape, false, loss, seed);
   std::ostringstream err;
+  const auto where = [&] {
+    std::ostringstream w;
+    w << " (" << shape.name << ", seed " << seed << ", loss " << loss
+      << "); ";
+    return w.str();
+  };
   if (batched.completion_order != shadow.completion_order) {
-    err << "completion order diverged (seed " << seed << ", loss " << loss
-        << "); ";
+    err << "completion order diverged" << where();
+  }
+  if (batched.completed_at != shadow.completed_at) {
+    err << "completion times diverged" << where();
   }
   if (batched.recv_bytes != shadow.recv_bytes) {
-    err << "received bytes diverged (seed " << seed << ", loss " << loss
-        << "); ";
+    err << "received bytes diverged" << where();
   }
   if (batched.end_time != shadow.end_time) {
     err << "virtual end time diverged: " << batched.end_time << " vs "
-        << shadow.end_time << " (seed " << seed << ", loss " << loss << "); ";
+        << shadow.end_time << where();
+  }
+  if (batched.retransmissions != shadow.retransmissions) {
+    err << "retransmissions diverged: " << batched.retransmissions << " vs "
+        << shadow.retransmissions << where();
   }
   if (batched.processed_events > shadow.processed_events) {
-    err << "batched plane processed MORE events than the shadow (seed "
-        << seed << "); ";
+    err << "batched plane processed MORE events than the shadow" << where();
   }
   return err.str();
 }
 
 TEST(MsgPlaneDeterminism, BatchedMatchesShadowFaultFree) {
-  EXPECT_EQ(compareModes(0.0, 0x00D0), "");
+  EXPECT_EQ(compareModes(kEager512, 0.0, 0x00D0), "");
 }
 
+// Beyond eager: rendezvous, DirectIPC and a deadline that falls due
+// mid-pack, the inputs whose deadlines the batched plane files, pops and
+// drops along every path.
 TEST(MsgPlaneDeterminism, BatchedMatchesShadowUnderLoss) {
-  EXPECT_EQ(compareModes(0.12, 0x10551), "");
+  EXPECT_EQ(compareModes(kEager512, 0.12, 0x10551), "");
+  for (const Shape& shape : kLossShapes) {
+    EXPECT_EQ(compareModes(shape, 0.12, 0x10551), "");
+  }
 }
 
 TEST(MsgPlaneDeterminism, FuzzSeedsParallel) {
@@ -413,8 +496,11 @@ TEST(MsgPlaneDeterminism, FuzzSeedsParallel) {
   std::vector<std::string> failures;
   bench::parallelFor(kIters, [&](std::size_t i) {
     const std::uint64_t seed = 0xFA5D + i * 7919;
-    std::string err = compareModes(0.0, seed);
-    err += compareModes(0.12, seed);
+    std::string err = compareModes(kEager512, 0.0, seed);
+    err += compareModes(kEager512, 0.12, seed);
+    for (const Shape& shape : kLossShapes) {
+      err += compareModes(shape, 0.12, seed);
+    }
     if (!err.empty()) {
       const std::lock_guard<std::mutex> lock(mu);
       failures.push_back(err);

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "common/check.hpp"
+#include "fault/fault_plan.hpp"
 #include "hw/cluster.hpp"
 #include "hw/machines.hpp"
 #include "mpi/runtime.hpp"
@@ -160,6 +162,177 @@ TEST(Persistent, StartallHaloPattern) {
   // All staging reclaimed after three rounds.
   EXPECT_EQ(p0.gpu().memory().liveAllocations(), kFaces);
   EXPECT_EQ(p4.gpu().memory().liveAllocations(), kFaces);
+}
+
+// ---- Persistent requests under loss ---------------------------------------
+//
+// Reliability on at 12% loss. Ranks 0 and 4 (one per node) exchange eager
+// and rendezvous messages, contiguous and strided, with fresh bytes every
+// iteration, and restart as soon as their own waitall returns: no barrier,
+// so a rank may restart its receives while its peer still waits for the
+// FIN of the previous activation. Every restart is a new message with a
+// fresh sequence number, so a late duplicate (data or control) of an
+// earlier activation has to be dropped rather than matched, completed or
+// answered as the next one, and a retransmission deadline filed by an
+// earlier activation must not fire for the next one.
+
+struct LossyMsg {
+  ddt::DatatypePtr (*type)();
+  std::size_t count;
+};
+
+ddt::DatatypePtr smallStrided() {  // 1 KiB packed: eager after a pack
+  return ddt::Datatype::vector(64, 2, 6, ddt::Datatype::float64());
+}
+ddt::DatatypePtr largeStrided() {  // 16 KiB packed: rendezvous after a pack
+  return ddt::Datatype::vector(512, 4, 8, ddt::Datatype::float64());
+}
+
+const LossyMsg kLossyMsgs[] = {
+    {&ddt::Datatype::byte, 512},        // eager, contiguous
+    {&smallStrided, 1},                 // eager, non-contiguous
+    {&ddt::Datatype::byte, 32u << 10},  // rendezvous, contiguous
+    {&largeStrided, 1},                 // rendezvous, non-contiguous
+};
+constexpr int kLossyIters = 6;
+
+struct LossyRun {
+  std::vector<std::byte> received;  // every iteration's receive buffers
+  int inexact{0};                   // receives that missed their bytes
+  TimeNs end_time{0};
+  std::size_t retransmissions{0};
+  std::size_t duplicates{0};
+};
+
+/// Sender bytes of message `m` in iteration `iter` from `rank`.
+std::byte lossyByte(int iter, int rank, std::size_t m, std::size_t i) {
+  return static_cast<std::byte>((iter * 37 + rank * 11 + m * 5 + i) & 0xFF);
+}
+
+sim::Task<void> lossyRank(Proc& p, int peer, std::vector<gpu::MemSpan> sbufs,
+                          std::vector<gpu::MemSpan> rbufs, LossyRun& out) {
+  std::vector<RequestPtr> reqs;
+  for (std::size_t m = 0; m < rbufs.size(); ++m) {
+    reqs.push_back(co_await p.recvInit(rbufs[m], kLossyMsgs[m].type(),
+                                       kLossyMsgs[m].count, peer,
+                                       static_cast<int>(m)));
+  }
+  for (std::size_t m = 0; m < sbufs.size(); ++m) {
+    reqs.push_back(co_await p.sendInit(sbufs[m], kLossyMsgs[m].type(),
+                                       kLossyMsgs[m].count, peer,
+                                       static_cast<int>(m)));
+  }
+  for (int iter = 0; iter < kLossyIters; ++iter) {
+    for (std::size_t m = 0; m < sbufs.size(); ++m) {
+      for (std::size_t i = 0; i < sbufs[m].size(); ++i) {
+        sbufs[m].bytes[i] = lossyByte(iter, p.rank(), m, i);
+      }
+    }
+    co_await p.startall(reqs);
+    co_await p.waitall(reqs);
+    for (std::size_t m = 0; m < rbufs.size(); ++m) {
+      // Exactly this iteration's bytes on the layout, untouched elsewhere.
+      std::vector<std::byte> want(rbufs[m].size(), std::byte{0});
+      p.layoutCache()
+          .get(kLossyMsgs[m].type(), kLossyMsgs[m].count)
+          ->forEachRun([&](auto off, auto len) {
+            for (std::size_t i = 0; i < static_cast<std::size_t>(len); ++i) {
+              const auto at = static_cast<std::size_t>(off) + i;
+              want[at] = lossyByte(iter, peer, m, at);
+            }
+          });
+      const std::span<const std::byte> got = rbufs[m].bytes;
+      if (!std::equal(got.begin(), got.end(), want.begin())) ++out.inexact;
+      out.received.insert(out.received.end(), got.begin(), got.end());
+      std::memset(rbufs[m].bytes.data(), 0, rbufs[m].size());
+    }
+  }
+}
+
+LossyRun runPersistentUnderLoss(bool batched, Protocol rendezvous,
+                                DurationNs timeout, std::uint64_t seed) {
+  sim::Engine eng;
+  hw::MachineSpec machine = hw::lassen();
+  machine.node.gpu.arena_bytes = 4u << 20;
+  hw::Cluster cluster(eng, machine, 2);
+  fault::FaultSpec fs;
+  fs.seed = seed;
+  fs.data_loss = 0.12;
+  fs.control_loss = 0.12;
+  fault::FaultPlan plan(eng, fs);
+  cluster.setFaultPlan(&plan);
+  eng.setWatchdog(sec(5));
+  RuntimeConfig cfg;
+  cfg.batched_message_plane = batched;
+  cfg.delivery_batching = batched;
+  cfg.rendezvous = rendezvous;
+  cfg.reliability.enabled = true;
+  cfg.reliability.base_timeout = timeout;
+  cfg.reliability.max_timeout = us(2000);
+  cfg.reliability.max_retries = 60;
+  Runtime rt(cluster, cfg);
+
+  LossyRun run;
+  LossyRun per_rank[2];
+  const int ranks[2] = {0, 4};
+  for (int k = 0; k < 2; ++k) {
+    Proc& p = rt.proc(ranks[k]);
+    std::vector<gpu::MemSpan> sbufs, rbufs;
+    for (const LossyMsg& msg : kLossyMsgs) {
+      const auto region =
+          static_cast<std::size_t>(msg.type()->extent()) * msg.count;
+      sbufs.push_back(p.allocDevice(region));
+      rbufs.push_back(p.allocDevice(region));
+      std::memset(rbufs.back().bytes.data(), 0, region);
+    }
+    eng.spawn(lossyRank(p, ranks[1 - k], std::move(sbufs), std::move(rbufs),
+                        per_rank[k]));
+  }
+  eng.run();
+  EXPECT_EQ(eng.unfinishedTasks(), 0u);
+  for (int k = 0; k < 2; ++k) {
+    run.received.insert(run.received.end(), per_rank[k].received.begin(),
+                        per_rank[k].received.end());
+    run.inexact += per_rank[k].inexact;
+    run.retransmissions += rt.proc(ranks[k]).transport().retransmissions;
+    run.duplicates += rt.proc(ranks[k]).transport().duplicates_ignored;
+  }
+  run.end_time = eng.now();
+  return run;
+}
+
+TEST(Persistent, RestartsUnderLossAreExactAndMatchShadow) {
+  // A 20 us timeout retransmits only after a loss. A 1 us one is shorter
+  // than a round trip, so sends also retransmit spuriously, and duplicate
+  // ACKs, CTSs and FINs of one activation are still in flight when the
+  // next activation starts.
+  std::size_t retransmissions = 0;
+  std::size_t duplicates = 0;
+  for (const DurationNs timeout : {us(20), us(1)}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      for (const Protocol rendezvous : {Protocol::RGet, Protocol::RPut}) {
+        SCOPED_TRACE(testing::Message()
+                     << "timeout " << timeout << " ns, seed " << seed
+                     << (rendezvous == Protocol::RGet ? ", RGet" : ", RPut"));
+        const LossyRun batched =
+            runPersistentUnderLoss(true, rendezvous, timeout, seed);
+        const LossyRun shadow =
+            runPersistentUnderLoss(false, rendezvous, timeout, seed);
+        EXPECT_EQ(batched.inexact, 0);
+        EXPECT_EQ(shadow.inexact, 0);
+        EXPECT_TRUE(batched.received == shadow.received);
+        EXPECT_EQ(batched.end_time, shadow.end_time);
+        EXPECT_EQ(batched.retransmissions, shadow.retransmissions);
+        EXPECT_EQ(batched.duplicates, shadow.duplicates);
+        retransmissions += batched.retransmissions;
+        duplicates += batched.duplicates;
+      }
+    }
+  }
+  // The loss actually bit: messages were retransmitted and duplicates (of
+  // data, ACKs or control packets) were dropped.
+  EXPECT_GT(retransmissions, 0u);
+  EXPECT_GT(duplicates, 0u);
 }
 
 }  // namespace
