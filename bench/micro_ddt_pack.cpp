@@ -1,6 +1,6 @@
 // Host-performance micro-benchmark for the DDT engine primitives on the
 // critical path of every scheme: datatype flattening, layout-cache lookup,
-// and the reference pack loops.
+// and the reference pack/unpack kernels.
 //
 // The count-compressed layout engine claims (a) flatten(type, count) costs
 // O(blocks-per-element) regardless of count where the seed materialized
@@ -10,7 +10,8 @@
 // shadow* — the seed algorithm reimplemented locally (enumerate all
 // count x blocks runs, globally sort + coalesce, pack per segment) — and
 // the sweep is emitted as a JSON record to BENCH_ddt_pack.json (or the path
-// given as argv[1]).
+// given as argv[1]). Every pack and unpack row also compares its bytes with
+// the shadow's; the exit code is non-zero when any row differs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -90,10 +91,14 @@ struct FlattenRow {
 
 struct PackRow {
   std::string workload;
+  std::size_t dim;
   std::size_t count;
   std::size_t bytes;
   double pack_ns_per_byte;
   double naive_ns_per_byte;
+  double unpack_ns_per_byte;
+  double naive_unpack_ns_per_byte;
+  bool bytes_match;
 };
 
 std::string fmt1(double v) {
@@ -109,14 +114,18 @@ int main(int argc, char** argv) {
                 "Micro — count-compressed flatten vs naive segment "
                 "materialization (cost and memory must be count-independent)");
 
-  const std::vector<workloads::Workload> types = {
-      workloads::specfem3dOc(32), workloads::specfem3dCm(16),
-      workloads::milcZdown(32), workloads::nasMgFace(32)};
+  struct SizedWorkload {
+    std::size_t dim;
+    workloads::Workload wl;
+  };
+  const std::vector<SizedWorkload> types = {
+      {32, workloads::specfem3dOc(32)}, {16, workloads::specfem3dCm(16)},
+      {32, workloads::milcZdown(32)}, {32, workloads::nasMgFace(32)}};
 
   std::vector<FlattenRow> flatten_rows;
   bench::Table ftable({"Workload", "Count", "Blocks", "Flatten ns",
                        "Naive ns", "Compressed B", "Naive B", "Groups"});
-  for (const auto& wl : types) {
+  for (const auto& [dim, wl] : types) {
     for (const std::size_t count : {1u, 8u, 64u, 256u, 1024u}) {
       const double flat_ns = timeNs([&] {
         const auto l = ddt::flatten(wl.type, count);
@@ -145,43 +154,90 @@ int main(int argc, char** argv) {
                "grows (the body repetition is symbolic); the naive path "
                "grows linearly in count x blocks.\n";
 
-  // ---- Pack throughput: compressed loop nests vs per-segment shadow ----
+  // ---- Pack/unpack throughput: compiled op list vs per-segment shadow ----
   bench::banner(std::cout,
-                "Micro — packCpu over the compressed form vs naive "
-                "per-segment copy (ns per payload byte)");
-  std::vector<PackRow> pack_rows;
-  bench::Table ptable(
-      {"Workload", "Count", "Payload B", "Pack ns/B", "Naive ns/B"});
-  for (const auto& wl : types) {
+                "Micro — packCpu/unpackCpu over the compiled op list vs "
+                "naive per-segment copy (ns per payload byte, bytes "
+                "checked against the shadow)");
+  // The sweep above at counts 1/4/16, then each paper layout at
+  // bulk_mixed's band-center dims, count 1.
+  struct PackCase {
+    workloads::Workload wl;
+    std::size_t dim;
+    std::size_t count;
+  };
+  std::vector<PackCase> cases;
+  for (const auto& [dim, wl] : types) {
     for (const std::size_t count : {1u, 4u, 16u}) {
-      const auto layout = ddt::flatten(wl.type, count);
-      if (layout.minOffset() < 0 || layout.size() == 0) continue;
-      std::vector<std::byte> origin(
-          static_cast<std::size_t>(layout.endOffset()));
-      Rng rng(7);
-      for (auto& b : origin) b = static_cast<std::byte>(rng.below(256));
-      std::vector<std::byte> packed(layout.size());
-
-      const double pack_ns = timeNs([&] {
-        g_sink = g_sink + ddt::packCpu(layout, origin, packed);
-      });
-      const auto segs = naiveFlatten(wl.type, count);
-      const double naive_ns = timeNs([&] {
-        std::size_t out = 0;
-        for (const ddt::Segment& s : segs) {
-          std::copy_n(origin.begin() + s.offset, s.len, packed.begin() + out);
-          out += s.len;
-        }
-        g_sink = g_sink + out;
-      });
-      const auto bytes = static_cast<double>(layout.size());
-      pack_rows.push_back(PackRow{wl.name, count, layout.size(),
-                                  pack_ns / bytes, naive_ns / bytes});
-      const PackRow& r = pack_rows.back();
-      ptable.addRow({r.workload, std::to_string(r.count),
-                     std::to_string(r.bytes), fmt1(r.pack_ns_per_byte * 1000),
-                     fmt1(r.naive_ns_per_byte * 1000)});
+      cases.push_back({wl, dim, count});
     }
+  }
+  for (const std::size_t dim : {22u, 34u, 46u, 58u}) {
+    for (const auto& wl : workloads::paperWorkloads(dim)) {
+      cases.push_back({wl, dim, 1});
+    }
+  }
+
+  std::vector<PackRow> pack_rows;
+  std::size_t mismatches = 0;
+  bench::Table ptable({"Workload", "Dim", "Count", "Payload B", "Pack ns/B",
+                       "Naive ns/B", "Unpack ns/B", "Naive unpack ns/B",
+                       "Bytes"});
+  for (const PackCase& c : cases) {
+    const auto layout = ddt::flatten(c.wl.type, c.count);
+    if (layout.minOffset() < 0 || layout.size() == 0) continue;
+    const auto span = static_cast<std::size_t>(layout.endOffset());
+    std::vector<std::byte> origin(span);
+    Rng rng(7);
+    for (auto& b : origin) b = static_cast<std::byte>(rng.below(256));
+    std::vector<std::byte> packed(layout.size());
+    std::vector<std::byte> naive_packed(layout.size());
+    std::vector<std::byte> unpacked(span, std::byte{0});
+    std::vector<std::byte> naive_unpacked(span, std::byte{0});
+
+    const double pack_ns = timeNs([&] {
+      g_sink = g_sink + ddt::packCpu(layout, origin, packed);
+    });
+    const auto segs = naiveFlatten(c.wl.type, c.count);
+    const double naive_ns = timeNs([&] {
+      std::size_t out = 0;
+      for (const ddt::Segment& s : segs) {
+        std::copy_n(origin.begin() + s.offset, s.len,
+                    naive_packed.begin() + out);
+        out += s.len;
+      }
+      g_sink = g_sink + out;
+    });
+    const double unpack_ns = timeNs([&] {
+      g_sink = g_sink + ddt::unpackCpu(layout, packed, unpacked);
+    });
+    const double naive_unpack_ns = timeNs([&] {
+      std::size_t in = 0;
+      for (const ddt::Segment& s : segs) {
+        std::copy_n(naive_packed.begin() + in, s.len,
+                    naive_unpacked.begin() + s.offset);
+        in += s.len;
+      }
+      g_sink = g_sink + in;
+    });
+    const bool match = packed == naive_packed && unpacked == naive_unpacked;
+    if (!match) {
+      ++mismatches;
+      std::cerr << "error: " << c.wl.name << " dim " << c.dim << " count "
+                << c.count << ": pack/unpack bytes differ from the shadow\n";
+    }
+    const auto bytes = static_cast<double>(layout.size());
+    pack_rows.push_back(PackRow{c.wl.name, c.dim, c.count, layout.size(),
+                                pack_ns / bytes, naive_ns / bytes,
+                                unpack_ns / bytes, naive_unpack_ns / bytes,
+                                match});
+    const PackRow& r = pack_rows.back();
+    ptable.addRow({r.workload, std::to_string(r.dim), std::to_string(r.count),
+                   std::to_string(r.bytes), fmt1(r.pack_ns_per_byte * 1000),
+                   fmt1(r.naive_ns_per_byte * 1000),
+                   fmt1(r.unpack_ns_per_byte * 1000),
+                   fmt1(r.naive_unpack_ns_per_byte * 1000),
+                   r.bytes_match ? "ok" : "MISMATCH"});
   }
   ptable.print(std::cout);
   std::cout << "\n(ns/B columns are scaled x1000: picoseconds per byte.)\n";
@@ -232,11 +288,14 @@ int main(int argc, char** argv) {
   json << "  ],\n  \"pack_sweep\": [\n";
   for (std::size_t i = 0; i < pack_rows.size(); ++i) {
     const PackRow& r = pack_rows[i];
-    json << "    {\"workload\": \"" << r.workload << "\", \"count\": "
-         << r.count << ", \"payload_bytes\": " << r.bytes
-         << ", \"pack_ns_per_byte\": " << r.pack_ns_per_byte
-         << ", \"naive_pack_ns_per_byte\": " << r.naive_ns_per_byte << "}"
-         << (i + 1 < pack_rows.size() ? "," : "") << "\n";
+    json << "    {\"workload\": \"" << r.workload << "\", \"dim\": "
+         << r.dim << ", \"count\": " << r.count << ", \"payload_bytes\": "
+         << r.bytes << ", \"pack_ns_per_byte\": " << r.pack_ns_per_byte
+         << ", \"naive_pack_ns_per_byte\": " << r.naive_ns_per_byte
+         << ", \"unpack_ns_per_byte\": " << r.unpack_ns_per_byte
+         << ", \"naive_unpack_ns_per_byte\": " << r.naive_unpack_ns_per_byte
+         << ", \"bytes_match\": " << (r.bytes_match ? "true" : "false")
+         << "}" << (i + 1 < pack_rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
        << "  \"cache_sweep\": {\"counts\": " << kSweepCounts
@@ -246,5 +305,10 @@ int main(int argc, char** argv) {
        << hit_rate << ", \"resident_bytes\": " << cache.residentBytes()
        << "}\n}\n";
   std::cout << "\nrecord written to " << json_path << "\n";
+  if (mismatches != 0) {
+    std::cerr << "error: " << mismatches
+              << " pack/unpack rows differ from the shadow\n";
+    return 1;
+  }
   return 0;
 }

@@ -222,6 +222,34 @@ void Layout::finalize(std::size_t extent) {
       static_cast<std::int64_t>(body_reps_) * body_stride_;
   for (const RunGroup& g : tail_) mixGroup(g, tail_shift);
   signature_ = h;
+
+  ops_.clear();
+  op_offsets_.clear();
+  compileSection(head_);
+  body_ops_begin_ = ops_.size();
+  compileSection(body_);
+  body_ops_end_ = ops_.size();
+  compileSection(tail_);
+}
+
+void Layout::compileSection(const std::vector<RunGroup>& groups) {
+  const std::size_t first = ops_.size();
+  for (const RunGroup& g : groups) {
+    if (g.run_count >= kStridedOpMinRuns) {
+      ops_.push_back(PackOp{PackOp::Kind::kStrided, g.run_len, g.run_count,
+                            g.base_offset, g.stride});
+      continue;
+    }
+    if (ops_.size() == first || ops_.back().kind != PackOp::Kind::kTable ||
+        ops_.back().len != g.run_len) {
+      ops_.push_back(PackOp{PackOp::Kind::kTable, g.run_len, 0,
+                            static_cast<std::int64_t>(op_offsets_.size()), 0});
+    }
+    emitGroup(g, 0, [&](std::int64_t offset, std::size_t) {
+      op_offsets_.push_back(offset);
+    });
+    ops_.back().count += g.run_count;
+  }
 }
 
 double Layout::meanBlock() const {

@@ -17,6 +17,12 @@
 // sparse-vs-dense classification (§V-A: sparse >= thousands of small blocks)
 // is computed here.
 //
+// Each layout is also compiled, once, into the op list packCpu/unpackCpu
+// execute (TEMPI's lowering of the canonical form into specialized
+// kernels): long run groups become strided ops, runs of short groups become
+// offset tables, so a sparse layout copies in fixed-size loops instead of
+// stepping through groups of two or three runs.
+//
 // `LayoutCache` memoizes flattening, the layout caching scheme of Chu et
 // al. [24] that the fusion framework's requests reference ("data layout: the
 // cached data layout entry", §IV-A1). It caches the *per-element* canonical
@@ -29,6 +35,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ddt/datatype.hpp"
@@ -62,6 +69,29 @@ struct RunGroup {
 
   friend bool operator==(const RunGroup&, const RunGroup&) = default;
 };
+
+/// One step of a layout's compiled pack program: `count` runs of `len`
+/// bytes, copied in canonical order. A strided op is one run group of at
+/// least kStridedOpMinRuns runs, the first at `base`, run starts `stride`
+/// apart. A table op gathers consecutive shorter groups of one run length;
+/// its run starts are entries [base, base + count) of Layout::opOffsets().
+struct PackOp {
+  enum class Kind : std::uint8_t { kStrided, kTable };
+
+  Kind kind{Kind::kStrided};
+  std::size_t len{0};
+  std::size_t count{0};
+  std::int64_t base{0};
+  std::int64_t stride{0};  // strided ops only
+};
+
+/// Groups of at least this many runs compile to a strided op; shorter ones
+/// go to offset tables, so a table holds fewer than this many entries per
+/// group and the op list stays O(groups). For 4- and 8-byte runs, tables
+/// are faster than strided ops up to at least 16 runs per group, but cost
+/// 8 bytes per run against 40 per op: at 8 a group's entries take at most
+/// 56 bytes (sweep in EXPERIMENTS.md).
+inline constexpr std::size_t kStridedOpMinRuns = 8;
 
 /// Canonical count-compressed layout of (type, count).
 ///
@@ -171,11 +201,31 @@ class Layout {
   }
   std::size_t bodyRepetitions() const { return body_reps_; }
   std::int64_t bodyStride() const { return body_stride_; }
-  /// Heap bytes held by the compressed representation.
+  /// Heap bytes held by the compressed representation and its op list.
   std::size_t compressedBytes() const {
     return (head_.capacity() + body_.capacity() + tail_.capacity()) *
-           sizeof(RunGroup);
+               sizeof(RunGroup) +
+           ops_.capacity() * sizeof(PackOp) +
+           op_offsets_.capacity() * sizeof(std::int64_t);
   }
+
+  // ---- Compiled pack program (built by finalize(), immutable after) ----
+
+  /// Ops run once before the body.
+  std::span<const PackOp> headOps() const {
+    return std::span(ops_).first(body_ops_begin_);
+  }
+  /// Ops run bodyRepetitions() times, instance r shifted r * bodyStride().
+  std::span<const PackOp> bodyOps() const {
+    return std::span(ops_).subspan(body_ops_begin_,
+                                   body_ops_end_ - body_ops_begin_);
+  }
+  /// Ops run once after the body.
+  std::span<const PackOp> tailOps() const {
+    return std::span(ops_).subspan(body_ops_end_);
+  }
+  /// Run starts of the table ops, indexed by PackOp::base.
+  std::span<const std::int64_t> opOffsets() const { return op_offsets_; }
 
  private:
   template <class F>
@@ -186,14 +236,22 @@ class Layout {
     }
   }
 
-  /// Compute the cached statistics from the populated sections.
+  /// Compute the cached statistics from the populated sections, then
+  /// compile the op list.
   void finalize(std::size_t extent);
+  /// Append the ops of one section; table ops never span two sections.
+  void compileSection(const std::vector<RunGroup>& groups);
 
   std::vector<RunGroup> head_;
   std::vector<RunGroup> body_;
   std::vector<RunGroup> tail_;
   std::size_t body_reps_{0};
   std::int64_t body_stride_{0};
+
+  std::vector<PackOp> ops_;
+  std::vector<std::int64_t> op_offsets_;
+  std::size_t body_ops_begin_{0};
+  std::size_t body_ops_end_{0};
 
   std::size_t size_{0};
   std::size_t extent_{0};

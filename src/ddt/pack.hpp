@@ -13,19 +13,22 @@
 
 namespace dkf::ddt {
 
-/// Gather: copy every layout run of `origin` into `packed` back-to-back.
-/// `origin` must cover [minOffset, endOffset) of the layout; `packed` must
-/// hold at least layout.size() bytes. Returns the number of bytes packed.
+/// Gather: copy every layout run of `origin` into `packed` back-to-back by
+/// executing the layout's compiled op list. `origin` must cover
+/// [minOffset, endOffset) of the layout and `packed` must hold at least
+/// layout.size() bytes; both are checked before any byte moves. Returns the
+/// number of bytes packed.
 std::size_t packCpu(const Layout& layout, std::span<const std::byte> origin,
                     std::span<std::byte> packed);
 
-/// Scatter: inverse of packCpu.
+/// Scatter: inverse of packCpu, with the same up-front checks.
 std::size_t unpackCpu(const Layout& layout, std::span<const std::byte> packed,
                       std::span<std::byte> origin);
 
 /// Direct strided copy between two non-contiguous buffers with identical
 /// total size (the DirectIPC operation of [24]): logically pack(src) followed
-/// by unpack(dst) without materializing the intermediate buffer.
+/// by unpack(dst) without materializing the intermediate buffer. Both
+/// buffers are bounds-checked before any byte moves.
 std::size_t copyStrided(const Layout& src_layout,
                         std::span<const std::byte> src,
                         const Layout& dst_layout, std::span<std::byte> dst);

@@ -7,6 +7,8 @@
 // indistinguishable from that shadow: identical segment lists, bit-identical
 // statistics, and byte-identical pack/unpack/copyStrided results — including
 // the ragged and non-periodic layouts that take the materializing fallback.
+// Pack and unpack run the layout's compiled op list, so the directed inputs
+// below also cover both op kinds at every fixed-size copy length.
 #include <algorithm>
 #include <cstring>
 #include <random>
@@ -18,6 +20,7 @@
 #include "ddt/datatype.hpp"
 #include "ddt/layout.hpp"
 #include "ddt/pack.hpp"
+#include "workloads/workloads.hpp"
 
 namespace dkf::ddt {
 namespace {
@@ -282,6 +285,97 @@ TEST(LayoutFuzz, RaggedLayoutsDegradeGracefully) {
   const std::array<std::int64_t, 4> displs{0, 2, 9, 13};
   auto t = Datatype::indexed(lens, displs, Datatype::int32());
   for (std::size_t count : {1u, 2u, 4u, 9u}) expectEquivalent(t, count);
+}
+
+TEST(LayoutFuzz, PaperLayoutsAtBulkDimsMatchShadow) {
+  // Every third dim of bulk_mixed's 16-64 range, its band centers
+  // 22/34/46/58 included.
+  for (std::size_t dim = 16; dim <= 64; dim += 3) {
+    for (const workloads::Workload& wl : workloads::paperWorkloads(dim)) {
+      for (const std::size_t count : {1u, 2u, 7u}) {
+        expectEquivalent(wl.type, count);
+      }
+    }
+  }
+}
+
+TEST(LayoutFuzz, EveryRunLengthMatchesShadow) {
+  // Per byte run length: twelve runs at irregular gaps (two-run groups, one
+  // offset table), then ten at a constant gap (one strided op).
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 1; len <= 17; ++len) lens.push_back(len);
+  for (const std::size_t len : {31u, 32u, 33u, 64u}) lens.push_back(len);
+  for (const std::size_t len : lens) {
+    std::vector<std::int64_t> displs;
+    std::int64_t at = 0;
+    for (std::size_t i = 0; i < 22; ++i) {
+      displs.push_back(at);
+      const std::size_t gap = i < 12 ? 1 + (i * 7) % 5 : 3;
+      at += static_cast<std::int64_t>(len + gap);
+    }
+    auto t = Datatype::indexedBlock(len, displs, Datatype::byte());
+    auto spaced = Datatype::resized(0, t->extent() + 5, t);
+    for (const std::size_t count : {1u, 3u}) {
+      expectEquivalent(t, count);  // boundary-coalescing repetition
+      expectEquivalent(spaced, count);
+    }
+  }
+}
+
+TEST(LayoutFuzz, GroupsAroundStridedOpThresholdMatchShadow) {
+  for (const std::size_t runs :
+       {kStridedOpMinRuns - 1, kStridedOpMinRuns, kStridedOpMinRuns + 1}) {
+    SCOPED_TRACE(runs);
+    const PackOp::Kind expected = runs >= kStridedOpMinRuns
+                                      ? PackOp::Kind::kStrided
+                                      : PackOp::Kind::kTable;
+    // One equally spaced group, padded so repetitions stay separate.
+    auto group = Datatype::vector(runs, 1, 2, Datatype::int32());
+    auto alone = Datatype::resized(0, group->extent() + 8, group);
+    // Three such groups at strides of 2, 3 and 4 elements in one element,
+    // padded the same way.
+    std::vector<std::int64_t> displs;
+    std::int64_t at = 0;
+    for (std::int64_t stride = 2; stride <= 4; ++stride) {
+      for (std::size_t j = 0; j < runs; ++j, at += stride) {
+        displs.push_back(at);
+      }
+      at += 7;
+    }
+    auto packed3 = Datatype::indexedBlock(1, displs, Datatype::int32());
+    auto three = Datatype::resized(0, packed3->extent() + 8, packed3);
+    for (const std::size_t count : {1u, 5u}) {
+      expectEquivalent(alone, count);
+      expectEquivalent(three, count);
+      for (const auto& type : {alone, three}) {
+        const Layout layout = flatten(type, count);
+        for (const PackOp& op : layout.bodyOps()) {
+          if (op.len == 4) {
+            EXPECT_EQ(op.kind, expected);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LayoutFuzz, LongProgressionCompilesToOneOp) {
+  // 4096 int32s 12 bytes apart, resized so element r+1 continues the
+  // progression: one strided op, run bodyRepetitions() times.
+  auto t = Datatype::resized(
+      0, 4096 * 12, Datatype::vector(4096, 1, 3, Datatype::int32()));
+  const Layout one = flatten(t, 1);
+  const Layout many = flatten(t, 64);
+  for (const Layout* l : {&one, &many}) {
+    EXPECT_TRUE(l->headOps().empty());
+    EXPECT_TRUE(l->tailOps().empty());
+    ASSERT_EQ(l->bodyOps().size(), 1u);
+    EXPECT_EQ(l->bodyOps()[0].kind, PackOp::Kind::kStrided);
+    EXPECT_TRUE(l->opOffsets().empty());
+  }
+  EXPECT_EQ(one.compressedBytes(), many.compressedBytes());
+  expectEquivalent(t, 1);
+  expectEquivalent(t, 64);
 }
 
 TEST(LayoutFuzz, CompressedMemoryIsCountIndependent) {

@@ -71,6 +71,40 @@ TEST(PackCpu, SegmentBeyondOriginThrows) {
   EXPECT_THROW(packCpu(layout, origin, packed), CheckFailure);
 }
 
+// A layout whose first run fits the buffer and whose later run does not
+// must be rejected before any byte moves: the destination stays
+// byte-identical on every path, with the bad layout on either side of a
+// strided copy.
+void expectRejectedUntouched(const Layout& bad, std::size_t buffer_bytes) {
+  const Layout flat =
+      flatten(Datatype::contiguous(bad.size(), Datatype::byte()), 1);
+  const std::vector<std::byte> src_strided(buffer_bytes, std::byte{0x5A});
+  const std::vector<std::byte> src_packed(bad.size(), std::byte{0x5A});
+  const std::vector<std::byte> clean_strided(buffer_bytes, std::byte{0xEE});
+  const std::vector<std::byte> clean_packed(bad.size(), std::byte{0xEE});
+
+  auto packed = clean_packed;
+  EXPECT_THROW(packCpu(bad, src_strided, packed), CheckFailure);
+  EXPECT_EQ(packed, clean_packed);
+  EXPECT_THROW(copyStrided(bad, src_strided, flat, packed), CheckFailure);
+  EXPECT_EQ(packed, clean_packed);
+
+  auto strided = clean_strided;
+  EXPECT_THROW(unpackCpu(bad, src_packed, strided), CheckFailure);
+  EXPECT_EQ(strided, clean_strided);
+  EXPECT_THROW(copyStrided(flat, src_packed, bad, strided), CheckFailure);
+  EXPECT_EQ(strided, clean_strided);
+}
+
+TEST(PackBounds, OverrunRejectedBeforeAnyByteMoves) {
+  // Runs {0,2} and {10,2} over an 8-byte buffer: the first run fits.
+  expectRejectedUntouched(Layout({{0, 2}, {10, 2}}, 12), 8);
+}
+
+TEST(PackBounds, NegativeOffsetRejectedBeforeAnyByteMoves) {
+  expectRejectedUntouched(Layout({{-4, 2}, {2, 2}}, 8), 8);
+}
+
 TEST(CopyStrided, DifferentShapesSameSize) {
   // src: 4 blocks of 2 bytes; dst: 2 blocks of 4 bytes.
   const std::array<std::int64_t, 4> sdispls{0, 3, 6, 9};

@@ -2,6 +2,7 @@
 // the reliable transport's capture-once retransmission path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <vector>
@@ -35,7 +36,7 @@ TEST(PayloadPool, InlineSlabBoundary) {
     PayloadRef r = pool.capture(src);
     EXPECT_EQ(r.size(), n);
     EXPECT_EQ(r.isInline(), n <= kInlinePayloadBytes);
-    EXPECT_EQ(std::memcmp(r.data(), src.data(), n), 0);
+    EXPECT_TRUE(std::ranges::equal(r.span(), src));
   }
   // Only the two above-threshold captures touched a slab.
   EXPECT_EQ(pool.counters().captures, 5u);
