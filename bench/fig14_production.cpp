@@ -4,12 +4,6 @@
 // cudaMemcpyAsync per contiguous block; MVAPICH2-GDR adaptively mixes the
 // CPU-GPU-Hybrid and GPU-Sync schemes; Proposed is this paper.
 //
-// The production trace plays through the batched message plane (the
-// serving path); every case is replayed through the seed per-request
-// coroutines as a shadow and the two runs must deliver byte-identical
-// payloads (received-bytes hash) — the plane refactor is a scheduling
-// change, never a data change.
-//
 // Paper shape: Proposed is ~1000x SpectrumMPI/OpenMPI on sparse layouts and
 // up to 8.8x (sparse) / 4.3x (dense) over MVAPICH2-GDR.
 #include <iostream>
@@ -17,7 +11,6 @@
 #include "bench_util/experiment.hpp"
 #include "bench_util/percentiles.hpp"
 #include "bench_util/table.hpp"
-#include "common/check.hpp"
 #include "hw/machines.hpp"
 
 namespace {
@@ -36,21 +29,10 @@ CaseResult latencyOf(dkf::schemes::Scheme scheme,
   cfg.n_ops = 32;
   cfg.iterations = 20;
   cfg.warmup = 3;
-  const auto batched = dkf::bench::runBulkExchange(cfg);
-
-  // Shadow: the same trace through the seed per-request coroutines. The
-  // two paths may schedule differently but must deliver the same bytes.
-  cfg.batched_message_plane = false;
-  const auto shadow = dkf::bench::runBulkExchange(cfg);
-  DKF_CHECK_MSG(batched.recv_bytes_hash == shadow.recv_bytes_hash,
-                "batched message plane delivered different payload bytes "
-                "than the seed path (batched hash "
-                    << batched.recv_bytes_hash << ", shadow "
-                    << shadow.recv_bytes_hash << ")");
-
+  const auto result = dkf::bench::runBulkExchange(cfg);
   CaseResult r;
-  r.mean_us = batched.meanLatencyUs();
-  r.tail = dkf::bench::summarizePercentiles(batched.latency_us);
+  r.mean_us = result.meanLatencyUs();
+  r.tail = dkf::bench::summarizePercentiles(result.latency_us);
   return r;
 }
 
@@ -62,8 +44,7 @@ int main() {
                 "Fig. 14 — Production MPI libraries on Lassen (normalized "
                 "to SpectrumMPI; higher is better)",
                 "SpectrumMPI/OpenMPI modeled as per-block cudaMemcpyAsync; "
-                "MVAPICH2-GDR as adaptive hybrid; batched message plane "
-                "with seed-path shadow (received-bytes hash asserted)");
+                "MVAPICH2-GDR as adaptive hybrid");
 
   struct Case {
     const char* label;
@@ -98,8 +79,6 @@ int main() {
   table.print(std::cout);
   std::cout << "\nPaper shape: Proposed orders of magnitude above "
                "SpectrumMPI/OpenMPI on sparse layouts; up to ~8.8x (sparse)"
-               " and ~4.3x (dense) over MVAPICH2-GDR.\n"
-               "All cases: batched-plane payload hash == seed-path shadow "
-               "hash.\n";
+               " and ~4.3x (dense) over MVAPICH2-GDR.\n";
   return 0;
 }

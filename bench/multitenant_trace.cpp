@@ -20,10 +20,6 @@
 //                   weighted fair batching: victim p99 inflation ≤ 2x
 //   drr_faulted     drr_adversary under link-degradation windows
 //                   (noisy-neighbor FaultPlan; reported, not asserted)
-//   fifo_burst      calendar-tier exercise: one 16384-message adversary
-//                   burst per round with delivery batching off, so the
-//                   engine's pending set blows past the 8192 calendar
-//                   threshold (peakPending / calendarEngagements asserted)
 //
 // The trace totals ~1M messages across modes. Emits BENCH_multitenant.json
 // (or argv[1]); `--smoke` shrinks round counts only — per-round shape (and
@@ -63,7 +59,6 @@ constexpr std::size_t kVictimBytes = 1024;  // contiguous victim payload
 constexpr std::size_t kVictimRegion = 2048; // slot stride (fits the vector)
 constexpr std::size_t kAdvBytes = 4096;     // adversary payload (still eager)
 constexpr std::size_t kAdvWindow = 3072;    // adversary messages per round
-constexpr std::size_t kBurstWindow = 16384; // calendar-tier burst
 // Small on purpose: wire sharing alone cannot help the victim once a flood
 // is already issued into the plane — admission caps how much of the
 // adversary occupies it at a time, and backpressure holds the rest.
@@ -75,7 +70,6 @@ struct ModeCfg {
   bool adversary{false};
   bool drr{false};     // contention + admission + weighted fair batching
   bool faulted{false};
-  bool burst{false};   // delivery batching off, kBurstWindow adversary
   int rounds{0};
 };
 
@@ -150,12 +144,11 @@ sim::Task<void> victimSender(mpi::Proc& p, const ModeCfg& m,
 sim::Task<void> adversarySender(mpi::Proc& p, const ModeCfg& m,
                                 int participants, gpu::MemSpan buf) {
   auto byte_t = ddt::Datatype::byte();
-  const std::size_t adv_n = m.burst ? kBurstWindow : kAdvWindow;
   for (int round = 0; round < m.rounds; ++round) {
     co_await p.barrier(participants);
     std::vector<mpi::Proc::SendSpec> adv;
-    adv.reserve(adv_n);
-    for (std::size_t j = 0; j < adv_n; ++j) {
+    adv.reserve(kAdvWindow);
+    for (std::size_t j = 0; j < kAdvWindow; ++j) {
       adv.push_back({buf.subspan(j * kAdvBytes, kAdvBytes), byte_t,
                      kAdvBytes, 1, kAdvTagBase + static_cast<int>(j),
                      kAdversary});
@@ -171,7 +164,6 @@ sim::Task<void> receiverBody(mpi::Proc& p, const ModeCfg& m,
                              std::vector<double>& adv_lat) {
   auto byte_t = ddt::Datatype::byte();
   auto vec_t = ddt::Datatype::vector(32, 32, 64, ddt::Datatype::byte());
-  const std::size_t adv_n = m.burst ? kBurstWindow : kAdvWindow;
 
   for (int round = 0; round < m.rounds; ++round) {
     co_await p.barrier(participants);
@@ -189,8 +181,8 @@ sim::Task<void> receiverBody(mpi::Proc& p, const ModeCfg& m,
     std::vector<mpi::RequestPtr> adv_keep;
     if (m.adversary) {
       std::vector<mpi::Proc::RecvSpec> adv;
-      adv.reserve(adv_n);
-      for (std::size_t j = 0; j < adv_n; ++j) {
+      adv.reserve(kAdvWindow);
+      for (std::size_t j = 0; j < kAdvWindow; ++j) {
         adv.push_back({adv_buf.subspan(j * kAdvBytes, kAdvBytes), byte_t,
                        kAdvBytes, 0, kAdvTagBase + static_cast<int>(j),
                        kAdversary});
@@ -211,9 +203,8 @@ sim::Task<void> receiverBody(mpi::Proc& p, const ModeCfg& m,
 ModeResult runMode(const ModeCfg& m) {
   sim::Engine eng;
   hw::MachineSpec machine = hw::lassen();
-  const std::size_t adv_n = m.burst ? kBurstWindow : kAdvWindow;
   const std::size_t needed = kVictimWindow * kVictimRegion * 2 +
-                             (m.adversary ? adv_n * kAdvBytes * 2 : 0) +
+                             (m.adversary ? kAdvWindow * kAdvBytes * 2 : 0) +
                              (16u << 20);
   machine.node.gpu.arena_bytes =
       std::max(machine.node.gpu.arena_bytes, needed);
@@ -238,8 +229,6 @@ ModeResult runMode(const ModeCfg& m) {
 
   mpi::RuntimeConfig cfg;
   cfg.poll_interval = us(1);
-  cfg.batched_message_plane = true;
-  cfg.delivery_batching = !m.burst;  // burst mode floods the engine queue
   if (m.drr) {
     cfg.contention.enabled = true;
     cfg.contention.weights.set(kVictim, 4.0);
@@ -255,7 +244,7 @@ ModeResult runMode(const ModeCfg& m) {
     vic_bufs[side] =
         rt.proc(side).allocDevice(kVictimWindow * kVictimRegion);
     if (m.adversary) {
-      adv_bufs[side] = rt.proc(side).allocDevice(adv_n * kAdvBytes);
+      adv_bufs[side] = rt.proc(side).allocDevice(kAdvWindow * kAdvBytes);
     }
   }
 
@@ -382,14 +371,12 @@ int main(int argc, char** argv) {
   const int solo_rounds = smoke ? 10 : 200;
   const int adv_rounds = smoke ? 8 : 120;
   const int fault_rounds = smoke ? 4 : 40;
-  const int burst_rounds = smoke ? 1 : 2;
   const std::vector<ModeCfg> modes = {
-      {"fifo_solo", false, false, false, false, solo_rounds},
-      {"fifo_adversary", true, false, false, false, adv_rounds},
-      {"drr_solo", false, true, false, false, solo_rounds},
-      {"drr_adversary", true, true, false, false, adv_rounds},
-      {"drr_faulted", true, true, true, false, fault_rounds},
-      {"fifo_burst", true, false, false, true, burst_rounds},
+      {"fifo_solo", false, false, false, solo_rounds},
+      {"fifo_adversary", true, false, false, adv_rounds},
+      {"drr_solo", false, true, false, solo_rounds},
+      {"drr_adversary", true, true, false, adv_rounds},
+      {"drr_faulted", true, true, true, fault_rounds},
   };
 
   bench::banner(std::cout,
@@ -429,7 +416,6 @@ int main(int argc, char** argv) {
   const ModeResult& fifo_adv = results[1];
   const ModeResult& drr_solo = results[2];
   const ModeResult& drr_adv = results[3];
-  const ModeResult& burst = results[5];
 
   const double fifo_ratio = fifo_adv.tenants[kVictim].latency_us.p99 /
                             fifo_solo.tenants[kVictim].latency_us.p99;
@@ -445,10 +431,7 @@ int main(int argc, char** argv) {
             << "x   (bounded by the 4:1 wire share)"
             << "\nSingle-tenant cost of the serving plane (drr_solo vs "
                "fifo_solo virtual time): "
-            << fmt(solo_vtime_ratio, 4) << "x"
-            << "\nCalendar tier (fifo_burst): peak pending "
-            << burst.peak_pending << ", engagements "
-            << burst.calendar_engagements << "\n";
+            << fmt(solo_vtime_ratio, 4) << "x\n";
 
   std::ofstream json(json_path);
   if (!json) {
@@ -466,7 +449,6 @@ int main(int argc, char** argv) {
        << "  \"total_messages\": " << total_messages << ",\n"
        << "  \"victim_window\": " << kVictimWindow << ",\n"
        << "  \"adversary_window\": " << kAdvWindow << ",\n"
-       << "  \"burst_window\": " << kBurstWindow << ",\n"
        << "  \"tenant_weights\": [4, 1],\n"
        << "  \"tenant_inflight_limit\": " << kInflightLimit << ",\n"
        << "  \"alloc_counting\": "
@@ -503,9 +485,7 @@ int main(int argc, char** argv) {
   json << "  ],\n"
        << "  \"isolation\": {\"fifo_victim_p99_inflation\": " << fifo_ratio
        << ", \"drr_victim_p99_inflation\": " << drr_ratio
-       << ", \"single_tenant_vtime_ratio\": " << solo_vtime_ratio << "},\n"
-       << "  \"calendar_tier\": {\"peak_pending\": " << burst.peak_pending
-       << ", \"engagements\": " << burst.calendar_engagements << "}\n"
+       << ", \"single_tenant_vtime_ratio\": " << solo_vtime_ratio << "}\n"
        << "}\n";
   std::cout << "record written to " << json_path << "\n";
 
@@ -518,12 +498,6 @@ int main(int argc, char** argv) {
   if (fifo_ratio < 5.0) {
     std::cerr << "error: FIFO victim p99 inflation " << fifo_ratio
               << "x below 5x — the adversary is not adversarial enough\n";
-    ok = false;
-  }
-  if (burst.peak_pending <= 8192 || burst.calendar_engagements == 0) {
-    std::cerr << "error: fifo_burst never engaged the calendar tier (peak "
-              << burst.peak_pending << ", engagements "
-              << burst.calendar_engagements << ")\n";
     ok = false;
   }
   if (solo_vtime_ratio < 0.98 || solo_vtime_ratio > 1.02) {

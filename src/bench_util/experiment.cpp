@@ -104,7 +104,6 @@ ExchangeResult runBulkExchange(const ExchangeConfig& cfg) {
   rt_cfg.enable_direct_ipc = cfg.enable_direct_ipc;
   rt_cfg.rendezvous = cfg.rendezvous;
   rt_cfg.reliability = cfg.reliability;
-  rt_cfg.batched_message_plane = cfg.batched_message_plane;
   mpi::Runtime rt(cluster, rt_cfg);
 
   const int rank_a = 0;
@@ -166,16 +165,6 @@ ExchangeResult runBulkExchange(const ExchangeConfig& cfg) {
     result.plan_cache.fallbacks += p->planCache().counters().fallbacks;
   }
   result.end_time = eng.now();
-  std::uint64_t h = 14695981039346656037ull;
-  for (const RankState& st : states) {
-    for (const gpu::MemSpan& r : st.recv_bufs) {
-      for (const std::byte b : r.bytes) {
-        h ^= static_cast<std::uint64_t>(b);
-        h *= 1099511628211ull;
-      }
-    }
-  }
-  result.recv_bytes_hash = h;
   return result;
 }
 

@@ -35,10 +35,6 @@ struct ExchangeConfig {
   bool intra_node{false};  ///< place both ranks on one node (DirectIPC)
   bool bidirectional{true};  ///< halo exchange (both directions at once)
   mpi::Protocol rendezvous{mpi::Protocol::RGet};
-  /// Route progress through the batched message plane (the production
-  /// path); false replays through the seed per-request coroutines — the
-  /// shadow used for received-bytes equivalence checks.
-  bool batched_message_plane{true};
 
   // ---- Fault injection (off by default: identical to the seed harness) --
   bool inject_faults{false};      ///< attach `faults` as a FaultPlan
@@ -64,10 +60,6 @@ struct ExchangeResult {
   core::PlanCacheCounters plan_cache{};
   /// Final virtual time of the whole run (determinism/replay checks).
   TimeNs end_time{0};
-  /// FNV-1a over every recv buffer of both ranks at run end. Two configs
-  /// that deliver the same payloads hash identically — the batched plane
-  /// vs. seed-path shadow check keys on this.
-  std::uint64_t recv_bytes_hash{0};
 
   double meanLatencyUs() const { return latency_us.mean(); }
   /// Residual "observed communication" time per Fig. 11: elapsed minus the

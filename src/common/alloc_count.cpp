@@ -9,7 +9,6 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
 
 void* countedAlloc(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -25,12 +24,6 @@ void* countedAlignedAlloc(std::size_t n, std::size_t align) {
   void* p = nullptr;
   if (posix_memalign(&p, align, n != 0 ? n : 1) != 0) throw std::bad_alloc();
   return p;
-}
-
-void countedFree(void* p) noexcept {
-  if (p == nullptr) return;
-  g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
 }
 
 }  // namespace
@@ -52,23 +45,23 @@ void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
   return std::malloc(n != 0 ? n : 1);
 }
 
-void operator delete(void* p) noexcept { countedFree(p); }
-void operator delete[](void* p) noexcept { countedFree(p); }
-void operator delete(void* p, std::size_t) noexcept { countedFree(p); }
-void operator delete[](void* p, std::size_t) noexcept { countedFree(p); }
-void operator delete(void* p, std::align_val_t) noexcept { countedFree(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { countedFree(p); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  countedFree(p);
+  std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  countedFree(p);
+  std::free(p);
 }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-  countedFree(p);
+  std::free(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  countedFree(p);
+  std::free(p);
 }
 
 namespace dkf {
@@ -76,9 +69,6 @@ namespace dkf {
 bool allocCountingEnabled() noexcept { return true; }
 std::uint64_t allocCount() noexcept {
   return g_allocs.load(std::memory_order_relaxed);
-}
-std::uint64_t deallocCount() noexcept {
-  return g_frees.load(std::memory_order_relaxed);
 }
 
 }  // namespace dkf
@@ -89,7 +79,6 @@ namespace dkf {
 
 bool allocCountingEnabled() noexcept { return false; }
 std::uint64_t allocCount() noexcept { return 0; }
-std::uint64_t deallocCount() noexcept { return 0; }
 
 }  // namespace dkf
 

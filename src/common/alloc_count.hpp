@@ -1,8 +1,9 @@
 // Opt-in global allocation counting (CMake option DKF_COUNT_ALLOCS).
 //
 // When the option is ON, alloc_count.cpp replaces the global operator
-// new/delete family with counting versions, and allocCount() reads the
-// process-lifetime allocation total. Benches subtract two snapshots around
+// new/delete family (the new operators count; the deletes release with
+// free, to match), and allocCount() reads the process-lifetime
+// allocation total. Benches subtract two snapshots around
 // a measured pass to report steady-state allocations per message — the
 // payload plane's headline metric (MODEL.md §15). When the option is OFF
 // (the default), the counters read zero and allocCountingEnabled() lets
@@ -19,8 +20,5 @@ bool allocCountingEnabled() noexcept;
 /// Allocations (operator new family calls) since process start; 0 when
 /// counting is disabled.
 std::uint64_t allocCount() noexcept;
-
-/// Deallocations since process start; 0 when counting is disabled.
-std::uint64_t deallocCount() noexcept;
 
 }  // namespace dkf

@@ -21,8 +21,6 @@ void RunningStat::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void RunningStat::reset() { *this = RunningStat{}; }
-
 double RunningStat::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }

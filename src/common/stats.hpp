@@ -15,7 +15,6 @@ namespace dkf {
 class RunningStat {
  public:
   void add(double x);
-  void reset();
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }

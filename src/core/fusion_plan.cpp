@@ -38,12 +38,6 @@ bool FusionPlan::needsDirect() const {
   return false;
 }
 
-std::size_t FusionPlan::totalBytes() const {
-  std::size_t total = 0;
-  for (const PlanOp& op : ops_) total += op.layout ? op.layout->size() : 0;
-  return total;
-}
-
 std::uint64_t FusionPlan::signature() const {
   std::uint64_t h = 14695981039346656037ull;
   const auto mix = [&h](std::uint64_t v) {

@@ -60,9 +60,6 @@ class FusionPlan {
   bool empty() const { return ops_.empty(); }
   /// Any strided-copy (DirectIPC) step — only direct-capable solvers apply.
   bool needsDirect() const;
-  /// Sum of the declared layouts' data bytes (representative: execution may
-  /// bind layouts of a different count with the same signature).
-  std::size_t totalBytes() const;
 
   /// Canonical signature: op kinds x layout signatures, order-sensitive.
   /// Inherits the count-independence of ddt::Layout::signature().

@@ -218,11 +218,6 @@ FusionRequest& RequestList::slot(std::size_t index) {
   return slots_[index];
 }
 
-const FusionRequest& RequestList::slot(std::size_t index) const {
-  DKF_CHECK(index < slots_.size());
-  return slots_[index];
-}
-
 std::size_t RequestList::slotOfUid(std::int64_t uid) const {
   DKF_CHECK(uid >= lowest_live_uid_ && uid < next_uid_);
   return uid_ring_[static_cast<std::size_t>(uid) & uid_mask_];

@@ -117,7 +117,6 @@ class RequestList {
 
   /// Direct slot access for the fused-kernel builder.
   FusionRequest& slot(std::size_t index);
-  const FusionRequest& slot(std::size_t index) const;
 
   std::size_t totalEnqueued() const { return total_enqueued_; }
   std::size_t totalRejected() const { return total_rejected_; }

@@ -30,10 +30,6 @@ DurationNs ThresholdModel::kernelTime(std::size_t bytes,
          static_cast<DurationNs>(std::ceil(static_cast<double>(bytes) / bw));
 }
 
-DurationNs ThresholdModel::wireTime(std::size_t bytes) const {
-  return net_.transferTime(bytes);
-}
-
 std::size_t ThresholdModel::predict(std::size_t op_bytes,
                                     double mean_run_bytes) const {
   DKF_CHECK(op_bytes > 0);

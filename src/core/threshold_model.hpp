@@ -56,9 +56,6 @@ class ThresholdModel {
   /// Predicted fused-kernel execution time for a batch of `bytes`.
   DurationNs kernelTime(std::size_t bytes, double mean_run_bytes) const;
 
-  /// Predicted wire time for `bytes`.
-  DurationNs wireTime(std::size_t bytes) const;
-
   /// The model's threshold for a workload whose operations carry
   /// `op_bytes` payload with mean contiguous run `mean_run_bytes`.
   std::size_t predict(std::size_t op_bytes, double mean_run_bytes) const;

@@ -73,12 +73,11 @@ struct Request {
 
   bool complete{false};
 
-  // ---- Change-driven progress bookkeeping (batched message plane) ----
-  // The batched plane only advances requests whose state could have moved:
-  // `progress_order` pins the activation (= seed scan) order, and the two
+  // ---- Change-driven progress bookkeeping ----
+  // A progress pass only advances requests whose state could have moved:
+  // `progress_order` pins the activation (= scan) order, and the two
   // membership flags dedupe entries on the owning Proc's ticket/dirty lists
   // (armed deadlines go to the Proc's deadline heap, which needs no flag).
-  // All three are inert when the seed shadow path is active.
   std::uint64_t progress_order{0};  ///< activation order, the pass sort key
   bool in_ticketed{false};          ///< on the proc's every-pass ticket list
   bool in_dirty{false};             ///< marked for the next progress pass

@@ -850,20 +850,21 @@ void Proc::finishTicketedRecv(const RequestPtr& req) {
   noteComplete(*req);
 }
 
-sim::Task<void> Proc::progressRequest(RequestPtr req) {
-  if (req->complete) co_return;
+bool Proc::advance(const RequestPtr& req) {
+  if (req->complete) return true;
 
   if (req->ticket_pending && engine_->done(req->ticket)) {
     req->ticket_pending = false;
     if (req->kind == Request::Kind::Send) {
-      req->pack_done = true;
+      req->pack_done = true;  // fall through to the protocol arm below
     } else {
       finishTicketedRecv(req);
-      co_return;
+      return true;
     }
   }
 
-  if (req->kind == Request::Kind::Send && req->pack_done) {
+  if (req->kind == Request::Kind::Send) {
+    if (!req->pack_done) return true;  // the DDT engine owns it
     switch (req->protocol) {
       case Protocol::Eager:
         if (!req->data_in_flight) {
@@ -906,24 +907,13 @@ sim::Task<void> Proc::progressRequest(RequestPtr req) {
         if (!req->complete && retransDue(req)) sendRtsOnWire(req);
         break;
     }
-  } else if (req->kind == Request::Kind::Recv) {
-    if (req->direct_retry) {
-      req->direct_retry = false;
-      co_await tryDirect(req);
-    } else if (req->rget_sender && !req->data_delivered &&
-               retransDue(req)) {
-      issueRgetRead(req, req->rget_sender);  // the RDMA read was dropped
-    }
+    return true;
   }
-}
-
-sim::Task<void> Proc::progressSlow(RequestPtr req) {
-  // The one genuinely suspending progress action: the DirectIPC enqueue
-  // submits through the DDT engine. Mirrors the recv arm of the seed path.
-  if (req->direct_retry) {
-    req->direct_retry = false;
-    co_await tryDirect(req);
+  if (req->direct_retry) return false;  // the enqueue suspends: caller's job
+  if (req->rget_sender && !req->data_delivered && retransDue(req)) {
+    issueRgetRead(req, req->rget_sender);  // the RDMA read was dropped
   }
+  return true;
 }
 
 void Proc::registerActive(const RequestPtr& req) {
@@ -939,14 +929,12 @@ void Proc::registerActive(const RequestPtr& req) {
 }
 
 void Proc::markDirty(const RequestPtr& req) {
-  if (!rt_->config().batched_message_plane) return;  // shadow never reads it
   if (req->complete || req->in_dirty) return;
   req->in_dirty = true;
   dirty_.push_back(req);
 }
 
 void Proc::markTicketed(const RequestPtr& req) {
-  if (!rt_->config().batched_message_plane) return;  // shadow never reads it
   if (req->complete || req->in_ticketed) return;
   req->in_ticketed = true;
   ticketed_.push_back(req);
@@ -961,7 +949,6 @@ constexpr auto laterDeadline = [](const auto& a, const auto& b) {
 }  // namespace
 
 void Proc::fileDeadline(const RequestPtr& req) {
-  if (!rt_->config().batched_message_plane) return;  // shadow never reads it
   deadlines_.push_back({req->retrans_deadline, req});
   std::push_heap(deadlines_.begin(), deadlines_.end(), laterDeadline);
 }
@@ -997,22 +984,23 @@ sim::Task<void> Proc::progressPass() {
   if (slow) {
     // A DirectIPC enqueue suspends, and flag flips arriving across the
     // suspension must stay visible to requests advanced later in the same
-    // pass — exactly the seed's snapshot semantics, so scan like the seed:
-    // every active request, activation order, index bound at entry
-    // (activations during the suspension wait a pass). Completed-but-
-    // unswept entries return from advance() immediately and emit nothing.
-    const std::size_t bound = active_.size();
-    for (std::size_t i = 0; i < bound; ++i) {
-      if (!MsgPlane::advance(*this, active_[i])) {
-        RequestPtr req = active_[i];  // pin across the suspension
-        co_await progressSlow(req);
+    // pass, so scan every active request in activation order. The scan
+    // walks a copy of active_ taken at entry: activations during the
+    // suspension wait a pass, and another waiter of this rank may run a
+    // whole pass (which sweeps active_) meanwhile. Completed entries
+    // return from advance() immediately and emit nothing.
+    const std::vector<RequestPtr> snapshot = active_;
+    for (const RequestPtr& req : snapshot) {
+      if (!advance(req)) {
+        req->direct_retry = false;
+        co_await tryDirect(req);
       }
     }
   } else {
-    // Pure table pass, fully synchronous: no suspension can interleave an
-    // event, so the candidate set is complete and classification is
-    // stable. Activation order keeps the emitted action stream identical
-    // to the seed's full scan: every skipped request is a proven no-op,
+    // Fast pass, fully synchronous: no suspension can interleave an
+    // event, so the candidate set is complete and no request's phase can
+    // move under the scan. Activation order keeps the emitted action
+    // stream identical to a full scan's: every skipped request is a no-op,
     // since it holds no ticket, no event marked it and its deadline (if
     // any) is not due. A request can be a candidate more than once.
     std::sort(pass_scratch_.begin(), pass_scratch_.end(),
@@ -1023,7 +1011,7 @@ sim::Task<void> Proc::progressPass() {
         std::unique(pass_scratch_.begin(), pass_scratch_.end()),
         pass_scratch_.end());
     for (const RequestPtr& req : pass_scratch_) {
-      const bool fast = MsgPlane::advance(*this, req);
+      const bool fast = advance(req);
       DKF_CHECK(fast);  // direct_retry would have forced the slow scan
     }
   }
@@ -1039,29 +1027,15 @@ sim::Task<void> Proc::progressPass() {
 
 sim::Task<void> Proc::progressOnce() {
   co_await engine_->progress();
-  if (rt_->config().batched_message_plane) {
-    // Hot path: change-driven. Steady-state requests complete inside
-    // fabric/engine handlers; a pass only runs while some request holds a
-    // live ticket, an event enabled an action since the last poll, or an
-    // armed retransmission deadline has come due. Any other poll costs
-    // O(1), however many deadlines are armed.
-    if (!ticketed_.empty() || !dirty_.empty() ||
-        (!deadlines_.empty() &&
-         deadlines_.front().at <= rt_->engine().now())) {
-      co_await progressPass();
-    }
-    co_return;
+  // Change-driven: steady-state requests complete inside fabric/engine
+  // handlers; a pass only runs while some request holds a live ticket, an
+  // event enabled an action since the last poll, or an armed
+  // retransmission deadline has come due. Any other poll costs O(1),
+  // however many deadlines are armed.
+  if (!ticketed_.empty() || !dirty_.empty() ||
+      (!deadlines_.empty() && deadlines_.front().at <= rt_->engine().now())) {
+    co_await progressPass();
   }
-  // Seed shadow: one coroutine frame per request per poll, iterating a
-  // snapshot (handlers may append to active_) reused across polls so
-  // steady-state polling does not allocate.
-  progress_scratch_.assign(active_.begin(), active_.end());
-  for (RequestPtr& req : progress_scratch_) {
-    co_await progressRequest(req);
-  }
-  progress_scratch_.clear();
-  std::erase_if(active_,
-                [](const RequestPtr& r) { return r->complete; });
 }
 
 sim::Task<void> Proc::wait(RequestPtr req) {
@@ -1161,7 +1135,6 @@ sim::Task<void> Proc::barrier(std::size_t participants) {
 
 Runtime::Runtime(hw::Cluster& cluster, RuntimeConfig config)
     : cluster_(&cluster), config_(config) {
-  cluster.fabric().setDeliveryBatching(config_.delivery_batching);
   cluster.fabric().setBatchWindow(config_.msg_batch_window);
   if (config_.contention.enabled) {
     cluster.fabric().setContention(config_.contention);

@@ -27,7 +27,6 @@
 #include "net/fabric.hpp"
 #include "net/payload.hpp"
 #include "mpi/match_table.hpp"
-#include "mpi/msg_plane.hpp"
 #include "mpi/request.hpp"
 #include "mpi/request_arena.hpp"
 #include "schemes/factory.hpp"
@@ -94,15 +93,6 @@ struct RuntimeConfig {
   ddt::LayoutCacheLimits layout_cache{};
   /// Per-rank compiled-plan cache budget (entries/bytes; 0 = unbounded).
   core::PlanCacheLimits plan_cache{};
-  /// Advance requests through the table-driven state machines
-  /// (msg_plane.hpp) instead of one coroutine frame per request per poll.
-  /// Off = the seed coroutine path, kept as the shadow for the determinism
-  /// fuzz test and the throughput bench baseline. Event-stream-identical
-  /// either way.
-  bool batched_message_plane{true};
-  /// Route fabric deliveries through per-link LinkBatchers (applied to the
-  /// cluster fabric at Runtime construction; net/link_batcher.hpp).
-  bool delivery_batching{true};
   /// Fabric delivery coalescing window: 0 (default) is exact; > 0 models
   /// NIC interrupt moderation and trades per-message timing (bounded by
   /// the window) for fewer events.
@@ -206,8 +196,8 @@ class Proc {
   /// `participants` ranks must arrive (0 = the whole world).
   sim::Task<void> barrier(std::size_t participants = 0);
 
-  /// Active (incomplete) requests owned by this rank. (The batched plane
-  /// sweeps handler-completed requests lazily, so count, don't size().)
+  /// Active (incomplete) requests owned by this rank. (Progress sweeps
+  /// handler-completed requests lazily, so count, don't size().)
   std::size_t inFlight() const {
     return static_cast<std::size_t>(
         std::count_if(active_.begin(), active_.end(),
@@ -247,7 +237,6 @@ class Proc {
 
  private:
   friend class Runtime;
-  friend struct MsgPlane;  // the table-driven hot path advances requests
 
   // Inbound protocol events (called at fabric delivery time). Each carries
   // the seq of the send activation it belongs to, so a late copy from an
@@ -275,13 +264,13 @@ class Proc {
 
   /// One pass of the progress engine.
   sim::Task<void> progressOnce();
-  /// One batched-plane pass over the requests that can actually act: the
-  /// DDT-ticket holders, the requests an event marked dirty since the last
-  /// pass and the requests whose retransmission deadline is due, advanced
-  /// in activation order. Falls back to the seed-order full scan whenever
-  /// a DirectIPC retry is pending, because that path suspends and flag
-  /// flips arriving across the suspension must stay visible to later
-  /// requests in the same pass.
+  /// One pass over the requests that can actually act: the DDT-ticket
+  /// holders, the requests an event marked dirty since the last pass and
+  /// the requests whose retransmission deadline is due, advanced in
+  /// activation order. Falls back to a full scan of a snapshot of the
+  /// active list whenever a DirectIPC retry is pending, because that path
+  /// suspends and flag flips arriving across the suspension must stay
+  /// visible to later requests in the same pass.
   sim::Task<void> progressPass();
   /// Register a freshly activated request with the progress plane
   /// (activation order, active list, amortized sweep of completed entries).
@@ -293,12 +282,14 @@ class Proc {
   /// File `req`'s just-armed retransmission deadline in the deadline heap,
   /// so the first pass at or after it advances the request.
   void fileDeadline(const RequestPtr& req);
-  /// Advance a single request's state machine — the seed coroutine path,
-  /// kept intact as the shadow for batched_message_plane = false.
-  sim::Task<void> progressRequest(RequestPtr req);
-  /// Coroutine tail for the table-driven path: the one genuinely
-  /// suspending action (the DirectIPC enqueue).
-  sim::Task<void> progressSlow(RequestPtr req);
+  /// Advance one request's protocol state machine: poll its DDT ticket,
+  /// then take the action its protocol phase enables (issue eager data or
+  /// an RTS, start or finish an RPut data phase, fire a due
+  /// retransmission). Never suspends: the hot protocol actions are wire
+  /// pushes and bookkeeping. Returns false, having done nothing, when the
+  /// request needs the one suspending action — a DirectIPC enqueue retry —
+  /// which the caller performs with tryDirect.
+  bool advance(const RequestPtr& req);
   /// A receive's DDT-engine ticket (unpack / direct copy) finished:
   /// release staging, FIN a DirectIPC sender, complete the request.
   void finishTicketedRecv(const RequestPtr& req);
@@ -311,7 +302,7 @@ class Proc {
   // ---- Reliable transport (no-ops while ReliabilityConfig is off) ----
   bool reliabilityOn() const;
   /// Arm (or re-arm) a request's retransmission deadline and file it in
-  /// the deadline heap so the batched plane advances it once it is due.
+  /// the deadline heap so a progress pass advances it once it is due.
   void armRetrans(const RequestPtr& req);
   /// True when the request's deadline passed: books one retransmission,
   /// backs the timeout off, re-arms and files the new deadline.
@@ -375,9 +366,8 @@ class Proc {
   core::PlanCache plan_cache_;
 
   std::vector<RequestPtr> active_;          // all incomplete requests
-  std::vector<RequestPtr> progress_scratch_;  // reused per-poll snapshot
 
-  // Change-driven progress state (batched plane only; see progressPass).
+  // Change-driven progress state (see progressPass).
   /// A filed retransmission deadline. Stale once the request completes or
   /// its retrans_deadline no longer equals `at` (ACKed, reset by a CTS, or
   /// re-armed, which filed its own entry); a pass drops stale entries.

@@ -39,12 +39,7 @@ LinkBatcher& Fabric::batcherBetween(int src_node, int dst_node) {
 
 void Fabric::deliver(int src_node, int dst_node, TimeNs t, TenantId tenant,
                      std::size_t bytes, LinkBatcher::Callback cb) {
-  if (batching_) {
-    batcherBetween(src_node, dst_node).enqueue(t, tenant, bytes,
-                                               std::move(cb));
-  } else {
-    eng_->scheduleAt(t, std::move(cb));
-  }
+  batcherBetween(src_node, dst_node).enqueue(t, tenant, bytes, std::move(cb));
 }
 
 TimeNs Fabric::reserveWire(Link& link, TenantId tenant, TimeNs earliest,
@@ -82,13 +77,6 @@ std::vector<std::size_t> Fabric::tenantDeliveries() const {
     for (std::size_t t = 0; t < per.size(); ++t) sums[t] += per[t];
   }
   return sums;
-}
-
-void Fabric::setBatchWindow(DurationNs w) {
-  batch_window_ = w;
-  for (auto& b : batchers_) {
-    if (b) b->setWindow(w);
-  }
 }
 
 std::size_t Fabric::batchedDeliveries() const {

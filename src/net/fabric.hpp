@@ -122,16 +122,11 @@ class Fabric {
   /// detach (the default: a loss-free fabric).
   void setFaultPlan(fault::FaultPlan* plan) { faults_ = plan; }
 
-  /// Route deliveries through per-link LinkBatchers (default on; with a
-  /// zero window the event stream is identical to eager scheduling —
-  /// link_batcher.hpp). Off = schedule every delivery eagerly, kept as the
-  /// shadow path for speedup reporting. Only meaningful before traffic.
-  void setDeliveryBatching(bool on) { batching_ = on; }
-  bool deliveryBatching() const { return batching_; }
-
   /// Coalescing window applied by every link's batcher. 0 (default) is
-  /// exact; > 0 models NIC interrupt moderation (link_batcher.hpp).
-  void setBatchWindow(DurationNs w);
+  /// exact; > 0 models NIC interrupt moderation (link_batcher.hpp). Only
+  /// meaningful before traffic: a batcher takes the window when its
+  /// channel first carries a message.
+  void setBatchWindow(DurationNs w) { batch_window_ = w; }
   DurationNs batchWindow() const { return batch_window_; }
 
   // Aggregate batcher counters (bench/tests).
@@ -151,8 +146,7 @@ class Fabric {
  private:
   Link& linkBetween(int src_node, int dst_node);
   LinkBatcher& batcherBetween(int src_node, int dst_node);
-  /// Hand a delivery closure to the channel's batcher (or the engine
-  /// directly in shadow mode).
+  /// Hand a delivery closure to the channel's batcher.
   void deliver(int src_node, int dst_node, TimeNs t, TenantId tenant,
                std::size_t bytes, LinkBatcher::Callback cb);
   /// Wire reservation under the active model: shared per-tenant when
@@ -179,7 +173,6 @@ class Fabric {
   fault::FaultPlan* faults_{nullptr};
   hw::MachineSpec machine_;
   std::size_t nodes_;
-  bool batching_{true};
   DurationNs batch_window_{ns(0)};
   ContentionConfig contention_{};
   // Declared before links_/batchers_: parked batcher deliveries hold

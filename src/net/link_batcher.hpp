@@ -81,10 +81,6 @@ class LinkBatcher {
   void setArbiter(const ArbiterConfig& cfg);
   ArbiterPolicy policy() const { return arbiter_.policy; }
 
-  /// Coalescing window; 0 (default) keeps the event stream exact.
-  void setWindow(DurationNs w) { window_ = w; }
-  DurationNs window() const { return window_; }
-
   std::size_t pending() const { return fifo_.size() + drr_pending_; }
 
   // ---- Instrumentation (tests + bench) ----
@@ -135,7 +131,7 @@ class LinkBatcher {
   static constexpr TimeNs kNever = ~TimeNs{0};
 
   sim::Engine* eng_;
-  DurationNs window_;
+  const DurationNs window_;
   RingQueue<Entry> fifo_;
   bool armed_{false};
   bool firing_{false};

@@ -14,7 +14,6 @@ constexpr std::size_t kMaxCachedPerBucket = 4096;
 
 struct Cache {
   std::array<std::vector<void*>, kBuckets> buckets;
-  FramePoolStats stats;
 
   ~Cache() {
     for (auto& b : buckets) {
@@ -42,13 +41,10 @@ void* frameAlloc(std::size_t bytes) {
     if (!list.empty()) {
       void* p = list.back();
       list.pop_back();
-      ++c.stats.reuses;
       return p;
     }
-    ++c.stats.heap_allocs;
     return ::operator new(b * kGranule);
   }
-  ++c.stats.heap_allocs;
   return ::operator new(bytes);
 }
 
@@ -65,7 +61,5 @@ void frameFree(void* p, std::size_t bytes) noexcept {
   }
   ::operator delete(p);
 }
-
-const FramePoolStats& framePoolStats() noexcept { return cache().stats; }
 
 }  // namespace dkf::sim

@@ -13,19 +13,10 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace dkf::sim {
 
-/// Calling thread's lifetime counters: `heap_allocs` hit the allocator,
-/// `reuses` came from the cache.
-struct FramePoolStats {
-  std::uint64_t heap_allocs{0};
-  std::uint64_t reuses{0};
-};
-
 void* frameAlloc(std::size_t bytes);
 void frameFree(void* p, std::size_t bytes) noexcept;
-const FramePoolStats& framePoolStats() noexcept;
 
 }  // namespace dkf::sim

@@ -114,13 +114,6 @@ Workload lammpsFull(std::size_t dim) {
   return Workload{"LAMMPS_full", std::move(type), 1, /*sparse=*/true};
 }
 
-std::vector<Workload> extendedWorkloads(std::size_t dim) {
-  auto wls = paperWorkloads(dim);
-  wls.push_back(wrfXzPlane(dim));
-  wls.push_back(lammpsFull(dim));
-  return wls;
-}
-
 std::vector<HaloFace> halo3dFaces(std::size_t n, std::size_t ghost) {
   DKF_CHECK(n > 2 * ghost);
   // Local block of (n+2g)^3 doubles including ghost shells.

@@ -74,9 +74,6 @@ Workload wrfXzPlane(std::size_t dim);
 /// positions — semi-sparse: many medium blocks.
 Workload lammpsFull(std::size_t dim);
 
-/// All six workloads (paper four + extended two).
-std::vector<Workload> extendedWorkloads(std::size_t dim);
-
 /// 3-D domain-decomposition halo description (Comb [33] style): for a
 /// rank at `coords` in a `grid` of ranks over a `n`^3 local block of
 /// doubles, enumerate the 6 face exchanges with subarray datatypes.

@@ -7,6 +7,8 @@
 
 #include <cstring>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench_util/experiment.hpp"
@@ -18,6 +20,7 @@
 #include "mpi/runtime.hpp"
 #include "schemes/factory.hpp"
 #include "schemes/fusion_engine.hpp"
+#include "sim/trace.hpp"
 #include "workloads/workloads.hpp"
 
 namespace dkf {
@@ -78,10 +81,21 @@ TEST(FaultPlanDeterminism, SameSeedSameDrawsAndLog) {
 
   sim::Engine eng_a, eng_b;
   fault::FaultPlan a(eng_a, fs), b(eng_b, fs);
+  // Tracing only observes: the traced plan draws exactly as the untraced
+  // one, and emits one instant per logged fault on its "faults" track.
+  auto tracer = sim::Tracer::enabled();
+  a.setTracer(&tracer);
   EXPECT_EQ(drawSequence(a, 200), drawSequence(b, 200));
   EXPECT_EQ(a.counters(), b.counters());
   EXPECT_EQ(a.log(), b.log());
   EXPECT_GT(a.counters().total(), 0u);
+  EXPECT_EQ(tracer.eventCount(), a.log().size());
+  std::ostringstream json;
+  tracer.exportJson(json);
+  for (const char* name : {"\"faults\"", "data_drop", "control_drop",
+                           "nic_stall", "launch_failure", "alloc_failure"}) {
+    EXPECT_NE(json.str().find(name), std::string::npos) << name;
+  }
 }
 
 TEST(FaultPlanDeterminism, DistinctSeedsDiverge) {

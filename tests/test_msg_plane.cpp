@@ -1,9 +1,10 @@
 // Batched message plane (MODEL.md §13): calendar-tier order equivalence,
 // the DKF_AUDIT invariant checker, MatchTable / ArrivalQueue equivalence
 // with the seed's linear scans, LinkBatcher coalescing semantics, and
-// end-to-end determinism of the batched plane against the seed shadow —
-// identical completions, bytes and virtual end time, fault-free and under
-// 12% loss, over eager, rendezvous (RGet, RPut) and DirectIPC traffic.
+// end-to-end determinism against frozen golden digests — identical
+// completions, bytes, virtual end time and retransmissions, fault-free and
+// under 12% loss, over eager, rendezvous (RGet, RPut) and DirectIPC
+// traffic.
 //
 // The determinism fuzz runs under bench::parallelFor; gtest assertions are
 // not thread-safe, so workers record failure strings and the main thread
@@ -13,6 +14,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <optional>
+#include <ostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -277,13 +281,12 @@ TEST(MsgPlaneBatcher, ReentrantEnqueueFromDeliveryIsDeferredNotLost) {
   EXPECT_EQ(batcher.pending(), 0u);
 }
 
-// ---- End-to-end determinism: batched plane vs seed shadow ---------------
+// ---- End-to-end determinism: frozen golden digests ----------------------
 
-/// One input of the batched-vs-shadow comparison: every rank sends `msgs`
-/// messages of `count` elements of `type()` to its right-hand neighbour,
-/// posting all receives, then all sends, back to back, so all ranks issue
-/// at the same virtual times and pile same-time deliveries onto shared
-/// links.
+/// One determinism input: every rank sends `msgs` messages of `count`
+/// elements of `type()` to its right-hand neighbour, posting all receives,
+/// then all sends, back to back, so all ranks issue at the same virtual
+/// times and pile same-time deliveries onto shared links.
 struct Shape {
   const char* name;
   int nodes;
@@ -294,9 +297,7 @@ struct Shape {
   bool direct_ipc{false};
   DurationNs base_timeout{us(40)};
   /// One waiter coroutine per request (completion order traced) instead of
-  /// one waitall per rank. The seed shadow shares its per-poll snapshot
-  /// across concurrent pollers, which is only safe while no progress
-  /// action suspends, so DirectIPC shapes wait with one waitall per rank.
+  /// one waitall per rank.
   bool waiter_per_request{false};
 };
 
@@ -323,6 +324,12 @@ const Shape kRputPackTimeout{"RPut RTS timeout mid-pack", 2, 8, &stridedType,
                              1, mpi::Protocol::RPut, false, ns(500)};
 const Shape kLossShapes[] = {kStridedRget, kStridedRput, kDirectIpc,
                              kRputPackTimeout};
+// kDirectIpc with one waiter per request: several coroutines of one rank
+// poll the progress engine, so a second waiter runs whole passes while the
+// first is suspended in a DirectIPC enqueue mid-scan.
+const Shape kDirectIpcWaiters{"intra-node DirectIPC, waiter per request", 1,
+                              8, &stridedType, 1, mpi::Protocol::RGet, true,
+                              us(5), true};
 
 struct WorldTrace {
   std::vector<std::uint64_t> completion_order;  // (rank << 32) | tag
@@ -331,6 +338,7 @@ struct WorldTrace {
   TimeNs end_time{0};
   std::size_t processed_events{0};
   std::size_t retransmissions{0};
+  std::size_t incomplete{0};  // posted requests that never completed
 };
 
 sim::Task<void> traceWait(mpi::Proc& p, mpi::RequestPtr req,
@@ -374,7 +382,7 @@ sim::Task<void> tracedRank(mpi::Proc& p, const Shape& shape, int ranks,
   if (!shape.waiter_per_request) co_await p.waitall(std::move(mine));
 }
 
-WorldTrace runTracedWorld(const Shape& shape, bool batched, double loss,
+WorldTrace runTracedWorld(const Shape& shape, double loss,
                           std::uint64_t seed) {
   sim::Engine eng;
   hw::MachineSpec machine = hw::lassen();
@@ -384,8 +392,6 @@ WorldTrace runTracedWorld(const Shape& shape, bool batched, double loss,
   hw::Cluster cluster(eng, machine, shape.nodes);
   std::optional<fault::FaultPlan> plan;
   mpi::RuntimeConfig cfg;
-  cfg.batched_message_plane = batched;
-  cfg.delivery_batching = batched;
   cfg.rendezvous = shape.rendezvous;
   cfg.enable_direct_ipc = shape.direct_ipc;
   if (loss > 0.0) {
@@ -429,6 +435,7 @@ WorldTrace runTracedWorld(const Shape& shape, bool batched, double loss,
 
   for (const mpi::RequestPtr& req : posted) {
     trace.completed_at.push_back(req->completed_at);
+    if (!req->complete) ++trace.incomplete;
   }
   for (int r = 0; r < ranks; ++r) {
     trace.recv_bytes.insert(trace.recv_bytes.end(), rbufs[r].bytes.begin(),
@@ -440,54 +447,269 @@ WorldTrace runTracedWorld(const Shape& shape, bool batched, double loss,
   return trace;
 }
 
-/// Compare the batched plane against the shadow for one seed; returns a
-/// diagnostic string (empty on success). Runs from parallelFor workers, so
-/// no gtest assertions here.
-std::string compareModes(const Shape& shape, double loss, std::uint64_t seed) {
-  const WorldTrace batched = runTracedWorld(shape, true, loss, seed);
-  const WorldTrace shadow = runTracedWorld(shape, false, loss, seed);
+/// FNV-1a over bytes, and over 64-bit values fed least significant byte
+/// first (the same digest on any host).
+std::uint64_t fnv1a(std::span<const std::byte> bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::byte b : bytes) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+std::uint64_t fnv1a(const std::vector<std::uint64_t>& values) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint64_t v : values) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      h ^= (v >> shift) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// What one input must reproduce. `max_events` is the processed-event
+/// count of the run the digest was recorded from, kept as an upper bound:
+/// the change-driven plane may only ever do less work.
+struct Digest {
+  std::uint64_t recv_bytes;        // FNV-1a of the received bytes
+  std::uint64_t completion_order;  // FNV-1a of the waiter completion order
+  std::uint64_t completed_at;      // FNV-1a of completed_at, post order
+  TimeNs end_time;
+  std::size_t retransmissions;
+  std::size_t max_events;
+};
+
+std::ostream& operator<<(std::ostream& os, const Digest& d) {
+  return os << std::hex << "{0x" << d.recv_bytes << ", 0x"
+            << d.completion_order << ", 0x" << d.completed_at << std::dec
+            << ", " << d.end_time << ", " << d.retransmissions << ", "
+            << d.max_events << "}";
+}
+
+struct Golden {
+  const char* shape;
+  int loss_pct;
+  std::uint64_t seed;
+  Digest digest;
+};
+
+// Recorded from the runs these tests compared before the seed coroutine
+// progress path was retired, and checked against both that path and the
+// batched plane before it went.
+constexpr Golden kGoldens[] = {
+    {"eager 512 B", 0, 0xd0,
+     {0xe45fccf176f72836, 0x721f2ac9c701e525, 0x1ba1e4bacf828ecd,
+      15950, 0, 7536}},
+    {"eager 512 B", 12, 0x10551,
+     {0x5fd26e8121aef589, 0x70b33f2caf806145, 0xeb71c37029234c19,
+      292000, 61, 26941}},
+    {"strided RGet", 12, 0x10551,
+     {0x5618ec83d5915d8b, 0xcbf29ce484222325, 0x3161755fd970b1aa,
+      318446, 46, 3478}},
+    {"strided RPut", 12, 0x10551,
+     {0x5618ec83d5915d8b, 0xcbf29ce484222325, 0x77327f6b1f9a6b34,
+      333906, 37, 4265}},
+    {"intra-node DirectIPC", 12, 0x10551,
+     {0x94d9e808b89d6f2d, 0xcbf29ce484222325, 0xa9beba6a691aa704,
+      43800, 66, 442}},
+    {"RPut RTS timeout mid-pack", 12, 0x10551,
+     {0x5618ec83d5915d8b, 0xcbf29ce484222325, 0xd40b94a0249c8899,
+      119865, 270, 1939}},
+    {"eager 512 B", 0, 0xfa5d,
+     {0xc7faec4f87802e89, 0x721f2ac9c701e525, 0x1ba1e4bacf828ecd,
+      15950, 0, 7536}},
+    {"eager 512 B", 12, 0xfa5d,
+     {0xc7faec4f87802e89, 0xc26e467e4417a825, 0x9286e05febdacc6,
+      293800, 51, 23574}},
+    {"strided RGet", 12, 0xfa5d,
+     {0x1663274b04e804f6, 0xcbf29ce484222325, 0xa4f1f9632be72464,
+      313809, 28, 3191}},
+    {"strided RPut", 12, 0xfa5d,
+     {0x1663274b04e804f6, 0xcbf29ce484222325, 0x3892983e5eda7777,
+      218590, 24, 3575}},
+    {"intra-node DirectIPC", 12, 0xfa5d,
+     {0x4e5944082d2d9ab2, 0xcbf29ce484222325, 0x6468b70f74fe7f39,
+      163800, 68, 934}},
+    {"RPut RTS timeout mid-pack", 12, 0xfa5d,
+     {0x1663274b04e804f6, 0xcbf29ce484222325, 0x24b4c1ebe08e8e61,
+      123896, 259, 1984}},
+    {"eager 512 B", 0, 0x1194c,
+     {0xcccd0ebd327ed3e3, 0x721f2ac9c701e525, 0x1ba1e4bacf828ecd,
+      15950, 0, 7536}},
+    {"eager 512 B", 12, 0x1194c,
+     {0xcccd0ebd327ed3e3, 0xf7ae6c931e98ee45, 0xf8d13f6928409a3,
+      610750, 73, 33662}},
+    {"strided RGet", 12, 0x1194c,
+     {0xcb798ee0c4382426, 0xcbf29ce484222325, 0x2ef8babfbf1461a5,
+      636043, 33, 4722}},
+    {"strided RPut", 12, 0x1194c,
+     {0xcb798ee0c4382426, 0xcbf29ce484222325, 0xe8df7301badae7,
+      208236, 28, 4029}},
+    {"intra-node DirectIPC", 12, 0x1194c,
+     {0x25bfc870d2851e60, 0xcbf29ce484222325, 0x47a3d92aba5b6ab7,
+      83800, 70, 803}},
+    {"RPut RTS timeout mid-pack", 12, 0x1194c,
+     {0xcb798ee0c4382426, 0xcbf29ce484222325, 0xc14d806fecccb1fa,
+      121154, 256, 1964}},
+    {"eager 512 B", 0, 0x1383b,
+     {0x436cb481f7785a0d, 0x721f2ac9c701e525, 0x1ba1e4bacf828ecd,
+      15950, 0, 7536}},
+    {"eager 512 B", 12, 0x1383b,
+     {0x436cb481f7785a0d, 0x7268155d6d300845, 0x1ced43e219a8d9d7,
+      2532250, 50, 31895}},
+    {"strided RGet", 12, 0x1383b,
+     {0x7f63a83da61301e3, 0xcbf29ce484222325, 0x50a64e3028525165,
+      315355, 32, 3762}},
+    {"strided RPut", 12, 0x1383b,
+     {0x7f63a83da61301e3, 0xcbf29ce484222325, 0x6e4a7ffb2bbbd688,
+      340156, 23, 4277}},
+    {"intra-node DirectIPC", 12, 0x1383b,
+     {0xfc66c6d4041e8d4, 0xcbf29ce484222325, 0x680ba1386c209f57,
+      43800, 66, 505}},
+    {"RPut RTS timeout mid-pack", 12, 0x1383b,
+     {0x7f63a83da61301e3, 0xcbf29ce484222325, 0x5a816304c36df71d,
+      121267, 250, 2067}},
+    {"eager 512 B", 0, 0x1572a,
+     {0x3ebff4a3f11eeb53, 0x721f2ac9c701e525, 0x1ba1e4bacf828ecd,
+      15950, 0, 7536}},
+    {"eager 512 B", 12, 0x1572a,
+     {0x3ebff4a3f11eeb53, 0x9bab53a02a326be5, 0x3a1cc812838cf6af,
+      132900, 49, 22129}},
+    {"strided RGet", 12, 0x1572a,
+     {0x97d307bebdb4d3d6, 0xcbf29ce484222325, 0x7ddb8fff5e26f964,
+      312265, 39, 3292}},
+    {"strided RPut", 12, 0x1572a,
+     {0x97d307bebdb4d3d6, 0xcbf29ce484222325, 0xceecc1cdeaba2cea,
+      338906, 33, 4035}},
+    {"intra-node DirectIPC", 12, 0x1572a,
+     {0x2dd58034f1fb0881, 0xcbf29ce484222325, 0x51c18c03a327c50b,
+      43550, 70, 460}},
+    {"RPut RTS timeout mid-pack", 12, 0x1572a,
+     {0x97d307bebdb4d3d6, 0xcbf29ce484222325, 0x15c9d25f65c763,
+      123722, 259, 1958}},
+    {"eager 512 B", 0, 0x17619,
+     {0xbeafc3e00d380953, 0x721f2ac9c701e525, 0x1ba1e4bacf828ecd,
+      15950, 0, 7536}},
+    {"eager 512 B", 12, 0x17619,
+     {0xbeafc3e00d380953, 0x70462ef081f38145, 0x4bfebe9d6efd63c7,
+      617400, 62, 30458}},
+    {"strided RGet", 12, 0x17619,
+     {0xdc93772e88d18057, 0xcbf29ce484222325, 0x2ebde4ed671c0bb,
+      157355, 28, 2251}},
+    {"strided RPut", 12, 0x17619,
+     {0xdc93772e88d18057, 0xcbf29ce484222325, 0x7f7276101ebde5cb,
+      172360, 23, 2188}},
+    {"intra-node DirectIPC", 12, 0x17619,
+     {0x9691cdb05a10d685, 0xcbf29ce484222325, 0x3f13ea99b818dc94,
+      43800, 67, 561}},
+    {"RPut RTS timeout mid-pack", 12, 0x17619,
+     {0xdc93772e88d18057, 0xcbf29ce484222325, 0xb3be7f28d634099,
+      125924, 261, 1928}},
+    {"eager 512 B", 0, 0x19508,
+     {0x9b8908e86bd3f8f0, 0x721f2ac9c701e525, 0x1ba1e4bacf828ecd,
+      15950, 0, 7536}},
+    {"eager 512 B", 12, 0x19508,
+     {0x9b8908e86bd3f8f0, 0x8ce60f66ba683a65, 0x2b2b9a5d84800000,
+      137650, 55, 26294}},
+    {"strided RGet", 12, 0x19508,
+     {0xdbb313d68b39f459, 0xcbf29ce484222325, 0x443485a97f37fed2,
+      321300, 38, 3813}},
+    {"strided RPut", 12, 0x19508,
+     {0xdbb313d68b39f459, 0xcbf29ce484222325, 0x4727835484280e25,
+      372112, 29, 4230}},
+    {"intra-node DirectIPC", 12, 0x19508,
+     {0xe669935c79b2a08a, 0xcbf29ce484222325, 0xa6ea375b16ccaf5e,
+      83550, 66, 609}},
+    {"RPut RTS timeout mid-pack", 12, 0x19508,
+     {0xdbb313d68b39f459, 0xcbf29ce484222325, 0x92fea2bfcdf23629,
+      129309, 240, 1934}},
+};
+
+constexpr std::uint64_t kLossSeed = 0x10551;
+
+const Digest* findGolden(const Shape& shape, int loss_pct,
+                         std::uint64_t seed) {
+  for (const Golden& g : kGoldens) {
+    if (std::strcmp(g.shape, shape.name) == 0 && g.loss_pct == loss_pct &&
+        g.seed == seed) {
+      return &g.digest;
+    }
+  }
+  return nullptr;
+}
+
+std::string inputName(const Shape& shape, int loss_pct, std::uint64_t seed) {
+  std::ostringstream os;
+  os << "{\"" << shape.name << "\", " << loss_pct << ", 0x" << std::hex
+     << seed << "}";
+  return os.str();
+}
+
+/// Run one input and compare it with its golden digest; returns a
+/// diagnostic naming the input with the expected and actual digests (empty
+/// on success). Runs from parallelFor workers, so no gtest assertions here.
+std::string checkGolden(const Shape& shape, int loss_pct, std::uint64_t seed) {
+  const WorldTrace t = runTracedWorld(shape, loss_pct / 100.0, seed);
+  const Digest actual{fnv1a(t.recv_bytes), fnv1a(t.completion_order),
+                      fnv1a(t.completed_at), t.end_time, t.retransmissions,
+                      t.processed_events};
+  const Digest* want = findGolden(shape, loss_pct, seed);
   std::ostringstream err;
-  const auto where = [&] {
-    std::ostringstream w;
-    w << " (" << shape.name << ", seed " << seed << ", loss " << loss
-      << "); ";
-    return w.str();
-  };
-  if (batched.completion_order != shadow.completion_order) {
-    err << "completion order diverged" << where();
-  }
-  if (batched.completed_at != shadow.completed_at) {
-    err << "completion times diverged" << where();
-  }
-  if (batched.recv_bytes != shadow.recv_bytes) {
-    err << "received bytes diverged" << where();
-  }
-  if (batched.end_time != shadow.end_time) {
-    err << "virtual end time diverged: " << batched.end_time << " vs "
-        << shadow.end_time << where();
-  }
-  if (batched.retransmissions != shadow.retransmissions) {
-    err << "retransmissions diverged: " << batched.retransmissions << " vs "
-        << shadow.retransmissions << where();
-  }
-  if (batched.processed_events > shadow.processed_events) {
-    err << "batched plane processed MORE events than the shadow" << where();
+  if (want == nullptr) {
+    err << "no golden digest for " << inputName(shape, loss_pct, seed)
+        << "; actual " << actual << "\n";
+  } else if (actual.recv_bytes != want->recv_bytes ||
+             actual.completion_order != want->completion_order ||
+             actual.completed_at != want->completed_at ||
+             actual.end_time != want->end_time ||
+             actual.retransmissions != want->retransmissions ||
+             actual.max_events > want->max_events) {
+    err << "digest mismatch for " << inputName(shape, loss_pct, seed)
+        << ": expected " << *want << " (events at most), actual " << actual
+        << "\n";
   }
   return err.str();
 }
 
-TEST(MsgPlaneDeterminism, BatchedMatchesShadowFaultFree) {
-  EXPECT_EQ(compareModes(kEager512, 0.0, 0x00D0), "");
+/// The one-waiter-per-request DirectIPC input has no digest of its own: it
+/// must complete every request and receive exactly the bytes of the frozen
+/// one-waitall kDirectIpc run of the same seed.
+std::string checkDirectIpcWaiters(int loss_pct, std::uint64_t seed) {
+  const WorldTrace t = runTracedWorld(kDirectIpcWaiters, loss_pct / 100.0,
+                                      seed);
+  const Digest* want = findGolden(kDirectIpc, 12, seed);
+  std::ostringstream err;
+  const std::string input = inputName(kDirectIpcWaiters, loss_pct, seed);
+  if (t.incomplete != 0) {
+    err << t.incomplete << " request(s) never completed in " << input
+        << "\n";
+  }
+  if (want == nullptr) {
+    err << "no golden digest for " << inputName(kDirectIpc, 12, seed)
+        << "\n";
+  } else if (fnv1a(t.recv_bytes) != want->recv_bytes) {
+    err << "received bytes of " << input << " differ from "
+        << inputName(kDirectIpc, 12, seed) << ": expected 0x" << std::hex
+        << want->recv_bytes << ", actual 0x" << fnv1a(t.recv_bytes) << "\n";
+  }
+  return err.str();
+}
+
+TEST(MsgPlaneDeterminism, MatchesGoldensFaultFree) {
+  EXPECT_EQ(checkGolden(kEager512, 0, 0x00D0), "");
 }
 
 // Beyond eager: rendezvous, DirectIPC and a deadline that falls due
-// mid-pack, the inputs whose deadlines the batched plane files, pops and
-// drops along every path.
-TEST(MsgPlaneDeterminism, BatchedMatchesShadowUnderLoss) {
-  EXPECT_EQ(compareModes(kEager512, 0.12, 0x10551), "");
+// mid-pack, the inputs whose deadlines the plane files, pops and drops
+// along every path.
+TEST(MsgPlaneDeterminism, MatchesGoldensUnderLoss) {
+  EXPECT_EQ(checkGolden(kEager512, 12, kLossSeed), "");
   for (const Shape& shape : kLossShapes) {
-    EXPECT_EQ(compareModes(shape, 0.12, 0x10551), "");
+    EXPECT_EQ(checkGolden(shape, 12, kLossSeed), "");
   }
+  EXPECT_EQ(checkDirectIpcWaiters(0, kLossSeed), "");
+  EXPECT_EQ(checkDirectIpcWaiters(12, kLossSeed), "");
 }
 
 TEST(MsgPlaneDeterminism, FuzzSeedsParallel) {
@@ -496,11 +718,13 @@ TEST(MsgPlaneDeterminism, FuzzSeedsParallel) {
   std::vector<std::string> failures;
   bench::parallelFor(kIters, [&](std::size_t i) {
     const std::uint64_t seed = 0xFA5D + i * 7919;
-    std::string err = compareModes(kEager512, 0.0, seed);
-    err += compareModes(kEager512, 0.12, seed);
+    std::string err = checkGolden(kEager512, 0, seed);
+    err += checkGolden(kEager512, 12, seed);
     for (const Shape& shape : kLossShapes) {
-      err += compareModes(shape, 0.12, seed);
+      err += checkGolden(shape, 12, seed);
     }
+    err += checkDirectIpcWaiters(0, seed);
+    err += checkDirectIpcWaiters(12, seed);
     if (!err.empty()) {
       const std::lock_guard<std::mutex> lock(mu);
       failures.push_back(err);

@@ -32,6 +32,7 @@
 #include "net/fabric.hpp"
 #include "net/link.hpp"
 #include "net/link_batcher.hpp"
+#include "schemes/factory.hpp"
 #include "sim/engine.hpp"
 
 namespace dkf {
@@ -267,6 +268,7 @@ bool operator==(const TenantTrace& a, const TenantTrace& b) {
 }
 
 struct TenantWorldCfg {
+  schemes::Scheme scheme{schemes::Scheme::Proposed};
   bool drr{false};           // contention + DRR + weighted fair batching
   std::size_t limit{0};      // tenant_inflight_limit
   double loss{0.0};          // with reliability when > 0
@@ -315,6 +317,7 @@ TenantTrace runTenantWorld(const TenantWorldCfg& wc) {
   hw::Cluster cluster(eng, hw::lassen(), 2);
   std::optional<fault::FaultPlan> plan;
   mpi::RuntimeConfig cfg;
+  cfg.scheme = wc.scheme;
   if (wc.drr) {
     cfg.contention.enabled = true;
     cfg.contention.weights.set(0, 4.0);
@@ -369,23 +372,30 @@ TenantTrace runTenantWorld(const TenantWorldCfg& wc) {
 }
 
 TEST(MultiTenantAdmission, CapBoundsInflightAndCountsBackpressure) {
-  TenantWorldCfg wc;
-  wc.drr = true;
-  wc.limit = 4;
-  const TenantTrace capped = runTenantWorld(wc);
-  ASSERT_GE(capped.sender_stats.size(), 2u);
-  for (TenantId t = 0; t < 2; ++t) {
-    const auto& ts = capped.sender_stats[t];
-    EXPECT_EQ(ts.admitted, static_cast<std::size_t>(kMsgsPerTenant));
-    EXPECT_LE(ts.peak_inflight, 4u);
-    EXPECT_GT(ts.throttle_waits, 0u);
-    EXPECT_GT(ts.throttled_ns, 0);
-    EXPECT_EQ(ts.inflight, 0u);  // every token returned at drain
+  // The fusion engine flushes a throttled tenant's own batch; an engine
+  // without internal batching (GPU-Sync) is flushed on every wait.
+  for (const schemes::Scheme scheme :
+       {schemes::Scheme::Proposed, schemes::Scheme::GpuSync}) {
+    SCOPED_TRACE(std::string(schemes::schemeName(scheme)));
+    TenantWorldCfg wc;
+    wc.scheme = scheme;
+    wc.drr = true;
+    wc.limit = 4;
+    const TenantTrace capped = runTenantWorld(wc);
+    ASSERT_GE(capped.sender_stats.size(), 2u);
+    for (TenantId t = 0; t < 2; ++t) {
+      const auto& ts = capped.sender_stats[t];
+      EXPECT_EQ(ts.admitted, static_cast<std::size_t>(kMsgsPerTenant));
+      EXPECT_LE(ts.peak_inflight, 4u);
+      EXPECT_GT(ts.throttle_waits, 0u);
+      EXPECT_GT(ts.throttled_ns, 0);
+      EXPECT_EQ(ts.inflight, 0u);  // every token returned at drain
+    }
+    // Backpressure reschedules, it never drops or corrupts payloads.
+    TenantWorldCfg open = wc;
+    open.limit = 0;
+    EXPECT_EQ(capped.recv_bytes, runTenantWorld(open).recv_bytes);
   }
-  // Backpressure reschedules, it never drops or corrupts payloads.
-  TenantWorldCfg open = wc;
-  open.limit = 0;
-  EXPECT_EQ(capped.recv_bytes, runTenantWorld(open).recv_bytes);
 }
 
 TEST(MultiTenantDeterminism, ArbitratedPlaneIsByteIdenticalAcrossReruns) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -17,6 +18,7 @@
 #include "schemes/gpu_sync.hpp"
 #include "schemes/hybrid_fusion.hpp"
 #include "schemes/naive_copy.hpp"
+#include "sim/trace.hpp"
 
 namespace dkf::schemes {
 namespace {
@@ -90,7 +92,25 @@ class EveryScheme : public SchemeFixture,
 
 TEST_P(EveryScheme, PackMatchesHostReference) {
   auto engine = makeEngine(GetParam(), eng_, cpu_, gpu_);
+  SCOPED_TRACE(std::string(engine->name()));
+  // Tracing only observes: a traced engine packs the same bytes.
+  auto tracer = sim::Tracer::enabled();
+  engine->setTracer(&tracer);
   verifyPackRoundTrip(*engine);
+  if (!engine->supportsDirect()) {
+    // An engine without DirectIPC declines with an invalid ticket, so a
+    // caller can fall back to pack + transfer + unpack.
+    auto layout = makeLayout(4, 8, 16);
+    auto src = filled(static_cast<std::size_t>(layout->endOffset()), 3);
+    auto dst = gpu_.memory().allocate(src.size());
+    Ticket ticket;
+    eng_.spawn([](DdtEngine& e, ddt::LayoutPtr l, gpu::MemSpan s,
+                  gpu::MemSpan d, Ticket& out) -> sim::Task<void> {
+      out = co_await e.submitDirect(l, s, l, d);
+    }(*engine, layout, src, dst, ticket));
+    eng_.run();
+    EXPECT_FALSE(ticket.valid());
+  }
 }
 
 TEST_P(EveryScheme, UnpackMatchesHostReference) {
