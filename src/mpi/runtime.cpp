@@ -152,40 +152,6 @@ RequestPtr Proc::makeRequest(Request::Kind kind, gpu::MemSpan buf,
   return req;
 }
 
-void Proc::resetActivationState(Request& req) {
-  req.staging = {};
-  req.staging_owned = false;
-  req.eager_data.reset();
-  req.seq = 0;  // a restart is a new message -> new seq
-  req.retrans_deadline = 0;
-  req.retrans_timeout = 0;
-  req.retransmissions = 0;
-  req.rndv_matched = false;
-  req.rndv_recv.reset();
-  req.rget_sender.reset();
-  req.delivery_span = {};
-  req.host_staging.reset();
-  req.wire_payload.reset();
-  req.payload_captured = false;
-  req.ticket = {};
-  req.ticket_pending = false;
-  req.pack_done = false;
-  req.rts_sent = false;
-  req.cts_received = false;
-  req.data_in_flight = false;
-  req.data_delivered = false;
-  req.remote_staging = {};
-  req.remote_layout = {};
-  req.remote_origin = {};
-  req.direct_retry = false;
-  req.paired.reset();
-  req.complete = false;
-  req.completed_at = 0;
-  // counted_inflight is deliberately left alone: the previous activation's
-  // admission token is still held until its payload drains off the wire
-  // (admitSend reconciles it).
-}
-
 sim::Task<void> Proc::activateSend(RequestPtr req) {
   co_await admitSend(req);
   const auto& machine = rt_->cluster().machine();
@@ -196,14 +162,10 @@ sim::Task<void> Proc::activateSend(RequestPtr req) {
     // Zero-copy path: no packing at all; the receiver pulls with a strided
     // kernel over NVLink ([24]). The RTS carries the layout handle.
     req->protocol = Protocol::DirectIpc;
-    req->pack_done = true;
     issueRts(req);
   } else {
     if (req->is_contiguous) {
-      req->staging = req->data_bytes > 0
-                         ? req->user_buf.subspan(0, req->data_bytes)
-                         : req->user_buf.subspan(0, 0);
-      req->pack_done = true;
+      req->staging = req->user_buf.subspan(0, req->data_bytes);
     } else {
       DKF_CHECK_MSG(req->user_buf.onDevice(),
                     "non-contiguous send buffers must be GPU-resident");
@@ -214,10 +176,8 @@ sim::Task<void> Proc::activateSend(RequestPtr req) {
       engine_->setActiveTenant(req->tenant);
       req->ticket = co_await engine_->submitPlanStep(
           *plan, 0, req->layout, nullptr, req->user_buf, req->staging);
-      req->ticket_pending = true;
       if (engine_->done(req->ticket)) {
-        req->ticket_pending = false;
-        req->pack_done = true;
+        req->ticket = {};
       } else {
         markTicketed(req);  // poll the pack ticket every pass
       }
@@ -230,34 +190,24 @@ sim::Task<void> Proc::activateSend(RequestPtr req) {
       // overlaps the packing kernel (§IV-B1).
       issueRts(req);
     }
-    if (req->pack_done) {
-      if (req->protocol == Protocol::Eager) {
-        issueEagerData(req);
-      } else if (req->protocol == Protocol::RGet) {
-        issueRts(req);
-      }
-    }
+    if (!req->ticket.valid()) issuePacked(req);
   }
   registerActive(req);
 }
 
 sim::Task<void> Proc::activateRecv(RequestPtr req) {
   registerActive(req);
-  // Unexpected-message queues first (arrival order preserved).
-  net::PayloadRef data;
-  if (unexpected_eager_.take(req->peer, req->tag, data)) {
-    startEagerDelivery(req, std::move(data));
-    co_return;
+  // Unexpected arrivals first, eager payloads and RTSs in arrival order.
+  Unexpected msg;
+  if (!unexpected_.take(req->peer, req->tag, msg)) {
+    posted_recvs_.post(std::move(req));
+  } else if (msg.rts) {
+    msg.rts->rts_parked = false;
+    startRendezvousDelivery(std::move(req), std::move(msg.rts));
+  } else {
+    startEagerDelivery(std::move(req), std::move(msg.eager));
   }
-  for (auto it = unexpected_rts_.begin(); it != unexpected_rts_.end(); ++it) {
-    if (req->matches((*it)->owner_rank, (*it)->tag)) {
-      RequestPtr sender_req = *it;
-      unexpected_rts_.erase(it);
-      startRendezvousDelivery(req, std::move(sender_req));
-      co_return;
-    }
-  }
-  posted_recvs_.post(req);
+  co_return;
 }
 
 sim::Task<RequestPtr> Proc::isend(gpu::MemSpan buf, ddt::DatatypePtr type,
@@ -337,7 +287,12 @@ sim::Task<void> Proc::start(RequestPtr req) {
   // Starting skips argument validation and layout lookup: cheaper than a
   // fresh isend/irecv (half the per-call bookkeeping).
   co_await cpu_->busy(rt_->config().call_overhead / 2);
-  resetActivationState(*req);
+  // A restart is a new message: fresh protocol state (including seq 0, so
+  // the first wire action draws a new seq) and a fresh latency base.
+  // counted_inflight survives: the previous activation's admission token is
+  // held until its payload drains off the wire (admitSend reconciles it).
+  static_cast<Activation&>(*req) = {};
+  req->posted_at = rt_->engine().now();
   req->active = true;
   if (req->kind == Request::Kind::Send) {
     co_await activateSend(req);
@@ -404,8 +359,8 @@ gpu::MemSpan Proc::allocStaging(Request& req, std::size_t bytes) {
   // just loses the GPU-resident fast path. allocate() is always
   // slab-backed, so the span's address is stable for the ref's lifetime.
   ++transport_.host_staging_fallbacks;
-  req.host_staging = payloadPool().allocate(bytes);
-  req.staging = gpu::MemSpan::host(req.host_staging.span());
+  req.payload = payloadPool().allocate(bytes);
+  req.staging = gpu::MemSpan::host(req.payload.span());
   req.staging_owned = false;
   return req.staging;
 }
@@ -416,18 +371,9 @@ void Proc::sendEagerOnWire(const RequestPtr& req) {
   const int dst_rank = req->peer;
   const int tag = req->tag;
   const std::uint64_t seq = req->seq;
-  // Capture the payload exactly once, on the first wire departure. A
-  // retransmission re-enters here and bumps the original capture's
-  // refcount instead of re-snapshotting the staging buffer, so every
-  // attempt carries byte-identical data.
-  if (!req->payload_captured) {
-    req->wire_payload = payloadPool().capture(
-        {req->staging.bytes.data(), req->staging.size()});
-    req->payload_captured = true;
-  }
   rt->cluster().fabric().sendPayload(
       rt->nodeOfRank(src_rank), rt->nodeOfRank(dst_rank), req->staging,
-      req->wire_payload,  // lvalue: the send copies (ref bump), req keeps one
+      req->payload,  // lvalue: the send copies (ref bump), req keeps one
       [rt, src_rank, dst_rank, tag, seq, req](net::PayloadRef data) {
         // The payload has drained off the wire: the sender's admission
         // token frees even though the send itself completed at issue.
@@ -435,10 +381,6 @@ void Proc::sendEagerOnWire(const RequestPtr& req) {
         rt->proc(dst_rank).onEager(src_rank, tag, seq, req, std::move(data));
       },
       req->tenant);
-  if (!reliabilityOn()) {
-    // No ACK is coming; the wire closure holds the only ref still needed.
-    req->wire_payload.reset();
-  }
 }
 
 void Proc::sendRtsOnWire(const RequestPtr& req) {
@@ -453,32 +395,73 @@ void Proc::sendRtsOnWire(const RequestPtr& req) {
 
 // --------------------------------------------------------------------------
 
-// Plain functions (they only push bytes on the wire and flip flags): the
-// activation and progress paths call them frame-free.
+// Plain functions (they only push bytes on the wire and move the phase):
+// the activation and progress paths call them frame-free.
+void Proc::issuePacked(const RequestPtr& req) {
+  if (req->protocol == Protocol::Eager) {
+    issueEagerData(req);
+  } else if (req->protocol == Protocol::RGet) {
+    issueRts(req);
+  }
+}
+
 void Proc::issueEagerData(const RequestPtr& req) {
-  if (req->seq == 0) req->seq = next_seq_++;
+  req->seq = next_seq_++;
+  req->phase = Request::Phase::DataSent;
+  // Capture the payload once per activation. A retransmission bumps this
+  // ref instead of re-snapshotting the staging buffer, so every attempt
+  // carries byte-identical data.
+  req->payload = payloadPool().capture(
+      {req->staging.bytes.data(), req->staging.size()});
   sendEagerOnWire(req);
-  req->data_in_flight = true;
   if (reliabilityOn()) {
-    // Completion is deferred to the ACK; the wire capture (wire_payload)
-    // survives so a retransmission is a ref bump, not a re-snapshot.
-    armRetrans(req);
+    armRetrans(req);  // completion waits for the ACK
     return;
   }
-  // Eager sends complete locally: the payload was captured on the wire.
-  // (The admission token stays held until the delivery callback runs.)
-  if (req->staging_owned) {
-    freeDevice(req->staging);
-    req->staging_owned = false;
-  }
+  // Eager sends complete locally: the wire closure holds the only payload
+  // ref still needed. (The admission token stays held until the delivery
+  // callback runs.)
+  releaseStaging(*req);
   noteComplete(*req);
 }
 
 void Proc::issueRts(const RequestPtr& req) {
-  req->rts_sent = true;
-  if (req->seq == 0) req->seq = next_seq_++;
+  req->seq = next_seq_++;
+  req->phase = Request::Phase::RtsSent;
   sendRtsOnWire(req);
   armRetrans(req);
+}
+
+void Proc::completeSend(Request& req) {
+  releaseStaging(req);  // also ends an eager send's retransmissions
+  req.paired.reset();
+  req.retrans_deadline = 0;
+  releaseSendToken(req);
+  noteComplete(req);
+}
+
+void Proc::sendCts(const RequestPtr& sender_req, gpu::MemSpan recv_staging) {
+  Runtime* rt = rt_;
+  const int sender_rank = sender_req->owner_rank;
+  const std::uint64_t seq = sender_req->seq;
+  rt->cluster().fabric().sendControl(
+      rt->nodeOfRank(rank_), rt->nodeOfRank(sender_rank),
+      [rt, sender_rank, sender_req, recv_staging, seq] {
+        rt->proc(sender_rank).onCts(sender_req, recv_staging, seq);
+      },
+      sender_req->tenant);
+}
+
+void Proc::sendFin(const RequestPtr& sender_req) {
+  Runtime* rt = rt_;
+  const int sender_rank = sender_req->owner_rank;
+  const std::uint64_t seq = sender_req->seq;
+  rt->cluster().fabric().sendControl(
+      rt->nodeOfRank(rank_), rt->nodeOfRank(sender_rank),
+      [rt, sender_rank, sender_req, seq] {
+        rt->proc(sender_rank).onFin(sender_req, seq);
+      },
+      sender_req->tenant);
 }
 
 void Proc::onEager(int src_rank, int msg_tag, std::uint64_t seq,
@@ -506,7 +489,7 @@ void Proc::onEager(int src_rank, int msg_tag, std::uint64_t seq,
   }
   RequestPtr recv = matchPosted(src_rank, msg_tag);
   if (!recv) {
-    unexpected_eager_.push(src_rank, msg_tag, std::move(data));
+    unexpected_.push(src_rank, msg_tag, Unexpected{std::move(data), nullptr});
     return;
   }
   startEagerDelivery(std::move(recv), std::move(data));
@@ -517,14 +500,7 @@ void Proc::onEagerAck(RequestPtr sender_req, std::uint64_t seq) {
     ++transport_.duplicates_ignored;
     return;
   }
-  if (sender_req->staging_owned) {
-    freeDevice(sender_req->staging);
-    sender_req->staging_owned = false;
-  }
-  sender_req->wire_payload.reset();  // no further retransmissions
-  sender_req->retrans_deadline = 0;
-  releaseSendToken(*sender_req);
-  noteComplete(*sender_req);
+  completeSend(*sender_req);
 }
 
 void Proc::startEagerDelivery(RequestPtr recv, net::PayloadRef data) {
@@ -532,37 +508,27 @@ void Proc::startEagerDelivery(RequestPtr recv, net::PayloadRef data) {
                 "eager message longer than the posted receive ("
                     << data.size() << " > " << recv->data_bytes << ")");
   if (recv->is_contiguous) {
-    std::memcpy(recv->user_buf.bytes.data(), data.data(), data.size());
+    // An empty message may target an empty (null) buffer: nothing to copy.
+    if (data.size() > 0) {
+      std::memcpy(recv->user_buf.bytes.data(), data.data(), data.size());
+    }
     noteComplete(*recv);
     return;
   }
   // Park the payload ref in the request and unpack through the DDT engine
   // straight out of the shared slab (read-only; the sender may hold a
   // retransmission ref to the same bytes).
-  recv->eager_data = std::move(data);
-  Proc* self = this;
-  engine().spawn([](Proc& p, RequestPtr r) -> sim::Task<void> {
-    const gpu::MemSpan packed = gpu::MemSpan::host(r->eager_data.span());
-    const auto plan = p.planFor(core::FusionOp::Unpacking, r->layout,
-                                nullptr, r->tenant);
-    p.engine_->setActiveTenant(r->tenant);
-    r->ticket = co_await p.engine_->submitPlanStep(*plan, 0, r->layout,
-                                                   nullptr, packed,
-                                                   r->user_buf);
-    r->ticket_pending = true;
-    if (p.engine_->done(r->ticket)) {
-      r->ticket_pending = false;
-      r->eager_data.reset();
-      p.noteComplete(*r);
-    } else {
-      p.markTicketed(r);  // poll the unpack ticket every pass
-    }
-  }(*self, std::move(recv)));
+  recv->payload = std::move(data);
+  recv->staging = gpu::MemSpan::host(recv->payload.span());
+  finishRecvData(std::move(recv));
 }
 
 void Proc::onRts(RequestPtr sender_req, std::uint64_t seq) {
   if (reliabilityOn()) {
-    if (sender_req->complete || seq != sender_req->seq) {
+    // Stale (an earlier activation, or already done), or retransmitted
+    // while this RTS still waits unmatched in the unexpected queue.
+    if (sender_req->complete || seq != sender_req->seq ||
+        sender_req->rts_parked) {
       ++transport_.duplicates_ignored;
       return;
     }
@@ -571,64 +537,36 @@ void Proc::onRts(RequestPtr sender_req, std::uint64_t seq) {
       answerDuplicateRts(sender_req);
       return;
     }
-    for (const RequestPtr& queued : unexpected_rts_) {
-      if (queued == sender_req) {  // retransmitted before we matched it
-        ++transport_.duplicates_ignored;
-        return;
-      }
-    }
   }
   RequestPtr recv = matchPosted(sender_req->owner_rank, sender_req->tag);
   if (!recv) {
-    unexpected_rts_.push_back(std::move(sender_req));
+    sender_req->rts_parked = true;
+    const int src_rank = sender_req->owner_rank;
+    const int msg_tag = sender_req->tag;
+    unexpected_.push(src_rank, msg_tag, Unexpected{{}, std::move(sender_req)});
     return;
   }
   startRendezvousDelivery(std::move(recv), std::move(sender_req));
 }
 
 void Proc::answerDuplicateRts(const RequestPtr& sender_req) {
-  Runtime* rt = rt_;
-  const int my_node = rt->nodeOfRank(rank_);
-  const int sender_node = rt->nodeOfRank(sender_req->owner_rank);
-  const int sender_rank = sender_req->owner_rank;
-  const std::uint64_t seq = sender_req->seq;
   // The receive that matched this activation. A persistent receive may
   // have been restarted since, so "still serving this send" is read from
-  // its link back to the sender, not from its completion flags.
+  // its phase (RPut) or its link back to the sender, not from its
+  // completion flags.
   const RequestPtr prior = sender_req->rndv_recv.lock();
   switch (sender_req->protocol) {
     case Protocol::RPut:
-      if (prior && !prior->data_delivered) {
-        // The CTS was lost: repeat the staging address.
-        const gpu::MemSpan dst = prior->delivery_span;
-        rt->cluster().fabric().sendControl(
-            my_node, sender_node,
-            [rt, sender_rank, sender_req, dst, seq] {
-              rt->proc(sender_rank).onCts(sender_req, dst, seq);
-            },
-            sender_req->tenant);
+      if (prior && prior->phase != Request::Phase::DataLanded) {
+        sendCts(sender_req, prior->staging);  // the CTS was lost: repeat it
       }
       break;
     case Protocol::RGet:
-      if (!prior || prior->rget_sender != sender_req) {
-        // The data landed but the FIN was lost: repeat it. (An expired
-        // weak_ptr means the receive retired long ago.)
-        rt->cluster().fabric().sendControl(
-            my_node, sender_node,
-            [rt, sender_rank, sender_req, seq] {
-              rt->proc(sender_rank).onFin(sender_req, seq);
-            },
-            sender_req->tenant);
-      }
-      break;
     case Protocol::DirectIpc:
       if (!prior || prior->paired != sender_req) {
-        rt->cluster().fabric().sendControl(
-            my_node, sender_node,
-            [rt, sender_rank, sender_req, seq] {
-              rt->proc(sender_rank).onFin(sender_req, seq);
-            },
-            sender_req->tenant);
+        // The data landed but the FIN was lost: repeat it. (An expired
+        // weak_ptr means the receive retired long ago.)
+        sendFin(sender_req);
       }
       break;
     case Protocol::Eager:
@@ -638,88 +576,58 @@ void Proc::answerDuplicateRts(const RequestPtr& sender_req) {
 
 void Proc::startRendezvousDelivery(RequestPtr recv, RequestPtr sender_req) {
   DKF_CHECK(sender_req->data_bytes <= recv->data_bytes);
-  Runtime* rt = rt_;
-  const int my_node = rt->nodeOfRank(rank_);
-  const int sender_node = rt->nodeOfRank(sender_req->owner_rank);
-
   if (reliabilityOn()) {
     sender_req->rndv_matched = true;
     sender_req->rndv_recv = recv;
   }
-
-  switch (sender_req->protocol) {
-    case Protocol::DirectIpc: {
-      recv->remote_layout = sender_req->layout;
-      recv->remote_origin = sender_req->user_buf;
-      recv->paired = sender_req;
-      recv->direct_retry = true;  // progress loop performs the enqueue
-      markDirty(recv);
-      break;
-    }
-    case Protocol::RGet: {
-      if (recv->is_contiguous) {
-        recv->delivery_span = recv->user_buf.subspan(0, sender_req->data_bytes);
-      } else {
-        recv->delivery_span = allocStaging(*recv, sender_req->data_bytes);
-      }
-      recv->rget_sender = sender_req;  // kept for timed-out re-reads
-      armRetrans(recv);
-      issueRgetRead(recv, sender_req);
-      break;
-    }
-    case Protocol::RPut: {
-      if (recv->is_contiguous) {
-        recv->delivery_span = recv->user_buf.subspan(0, sender_req->data_bytes);
-      } else {
-        recv->delivery_span = allocStaging(*recv, sender_req->data_bytes);
-      }
-      // CTS hands the sender our staging address; the sender RDMA-WRITEs
-      // once its packing finished (overlap with the handshake, §IV-B1).
-      const int sender_rank = sender_req->owner_rank;
-      const std::uint64_t seq = sender_req->seq;
-      sender_req->paired = recv;
-      const gpu::MemSpan dst = recv->delivery_span;
-      rt->cluster().fabric().sendControl(
-          my_node, sender_node,
-          [rt, sender_rank, sender_req, dst, seq] {
-            rt->proc(sender_rank).onCts(sender_req, dst, seq);
-          },
-          sender_req->tenant);
-      break;
-    }
-    case Protocol::Eager:
-      DKF_CHECK_MSG(false, "eager messages do not use rendezvous delivery");
+  const Protocol protocol = sender_req->protocol;
+  DKF_CHECK_MSG(protocol != Protocol::Eager,
+                "eager messages do not use rendezvous delivery");
+  if (protocol == Protocol::DirectIpc) {
+    // The copy reads the sender's layout and buffer through the link.
+    recv->paired = std::move(sender_req);
+    recv->direct_retry = true;  // progress loop performs the enqueue
+    markDirty(recv);
+    return;
+  }
+  if (recv->is_contiguous) {
+    recv->staging = recv->user_buf.subspan(0, sender_req->data_bytes);
+  } else {
+    allocStaging(*recv, sender_req->data_bytes);
+  }
+  if (protocol == Protocol::RGet) {
+    recv->paired = sender_req;  // kept for timed-out re-reads
+    armRetrans(recv);
+    issueRgetRead(recv, sender_req);
+  } else {
+    // RPut: the CTS hands the sender our staging address; the sender
+    // RDMA-WRITEs once its packing finished (overlap with the handshake,
+    // §IV-B1).
+    sender_req->paired = recv;
+    sendCts(sender_req, recv->staging);
   }
 }
 
 void Proc::issueRgetRead(const RequestPtr& recv, const RequestPtr& sender_req) {
   Runtime* rt = rt_;
   Proc* self = this;
-  const int my_node = rt->nodeOfRank(rank_);
-  const int sender_node = rt->nodeOfRank(sender_req->owner_rank);
   const std::uint64_t seq = sender_req->seq;
   rt->cluster().fabric().rdmaRead(
-      my_node, sender_node, sender_req->staging, recv->delivery_span,
-      [self, rt, recv, sender_req, my_node, sender_node, seq] {
-        if (recv->data_delivered) return;  // a retried read already landed
-        recv->data_delivered = true;
-        recv->rget_sender.reset();
+      rt->nodeOfRank(rank_), rt->nodeOfRank(sender_req->owner_rank),
+      sender_req->staging, recv->staging,
+      [self, recv, sender_req] {
+        if (recv->phase == Request::Phase::DataLanded) return;  // re-read
+        recv->phase = Request::Phase::DataLanded;
+        recv->paired.reset();
         recv->retrans_deadline = 0;
-        // FIN releases the sender's packed buffer.
-        const int sender_rank = sender_req->owner_rank;
-        rt->cluster().fabric().sendControl(
-            my_node, sender_node,
-            [rt, sender_rank, sender_req, seq] {
-              rt->proc(sender_rank).onFin(sender_req, seq);
-            },
-            sender_req->tenant);
+        self->sendFin(sender_req);  // releases the sender's packed buffer
         self->finishRecvData(recv);
       },
       // Wanted while this receive still reads this activation: a retried
       // read landing after a persistent restart must not scribble. (Raw
       // pointers keep the predicate inline; the callback holds the refs.)
       [r = recv.get(), s = sender_req.get(), seq] {
-        return r->rget_sender.get() == s && s->seq == seq;
+        return r->paired.get() == s && s->seq == seq;
       },
       sender_req->tenant);
 }
@@ -731,18 +639,20 @@ void Proc::issueRputData(const RequestPtr& req) {
   const std::uint64_t seq = req->seq;
   rt->cluster().fabric().rdmaWrite(
       rt->nodeOfRank(rank_), rt->nodeOfRank(req->peer), req->staging,
-      req->remote_staging, [self, req, recv, seq] {
+      req->remote_staging, [self, req, recv] {
         // Delivery: sender may release; receiver unpacks.
-        if (req->data_delivered) return;  // a retried write already landed
-        req->data_delivered = true;
+        if (req->phase == Request::Phase::DataLanded) return;  // re-write
+        req->phase = Request::Phase::DataLanded;
         self->markDirty(req);  // sender's completion block runs next pass
         if (recv) {
-          recv->data_delivered = true;
+          recv->phase = Request::Phase::DataLanded;
           self->rt_->proc(req->peer).finishRecvData(recv);
         }
       },
       // A retried write landing after a persistent restart is discarded.
-      [req, seq] { return req->seq == seq && !req->data_delivered; },
+      [req, seq] {
+        return req->seq == seq && req->phase != Request::Phase::DataLanded;
+      },
       req->tenant);
 }
 
@@ -750,11 +660,12 @@ void Proc::onCts(RequestPtr sender_req, gpu::MemSpan recv_staging,
                  std::uint64_t seq) {
   // A duplicate from an answered dup-RTS, or a late copy from an earlier
   // activation of a persistent send.
-  if (sender_req->cts_received || seq != sender_req->seq) {
+  if (sender_req->phase >= Request::Phase::CtsReceived ||
+      seq != sender_req->seq) {
     ++transport_.duplicates_ignored;
     return;
   }
-  sender_req->cts_received = true;
+  sender_req->phase = Request::Phase::CtsReceived;
   sender_req->remote_staging = recv_staging;
   // Fresh backoff for the data phase.
   sender_req->retrans_deadline = 0;
@@ -769,14 +680,7 @@ void Proc::onFin(RequestPtr sender_req, std::uint64_t seq) {
     ++transport_.duplicates_ignored;
     return;
   }
-  if (sender_req->staging_owned) {
-    freeDevice(sender_req->staging);
-    sender_req->staging_owned = false;
-  }
-  sender_req->paired.reset();
-  sender_req->retrans_deadline = 0;
-  releaseSendToken(*sender_req);
-  noteComplete(*sender_req);
+  completeSend(*sender_req);
 }
 
 void Proc::finishRecvData(RequestPtr recv) {
@@ -784,7 +688,6 @@ void Proc::finishRecvData(RequestPtr recv) {
     noteComplete(*recv);
     return;
   }
-  Proc* self = this;
   engine().spawn([](Proc& p, RequestPtr r) -> sim::Task<void> {
     const auto plan = p.planFor(core::FusionOp::Unpacking, r->layout,
                                 nullptr, r->tenant);
@@ -792,126 +695,104 @@ void Proc::finishRecvData(RequestPtr recv) {
     r->ticket = co_await p.engine_->submitPlanStep(*plan, 0, r->layout,
                                                    nullptr, r->staging,
                                                    r->user_buf);
-    r->ticket_pending = true;
     if (p.engine_->done(r->ticket)) {
-      r->ticket_pending = false;
-      p.releaseRecvStaging(*r);
-      p.noteComplete(*r);
+      r->ticket = {};
+      p.finishTicketedRecv(r);
     } else {
       p.markTicketed(r);  // poll the unpack ticket every pass
     }
-  }(*self, std::move(recv)));
+  }(*this, std::move(recv)));
 }
 
-void Proc::releaseRecvStaging(Request& r) {
-  if (r.staging_owned) {
-    freeDevice(r.staging);
-    r.staging_owned = false;
+void Proc::releaseStaging(Request& req) {
+  if (req.staging_owned) {
+    freeDevice(req.staging);
+    req.staging_owned = false;
   }
-  r.eager_data.reset();
-  r.host_staging.reset();
-  r.delivery_span = {};
+  req.payload.reset();
 }
 
 sim::Task<void> Proc::tryDirect(RequestPtr recv) {
-  const auto plan = planFor(core::FusionOp::DirectIPC, recv->remote_layout,
+  const Request& sender = *recv->paired;
+  const auto plan = planFor(core::FusionOp::DirectIPC, sender.layout,
                             recv->layout, recv->tenant);
   engine_->setActiveTenant(recv->tenant);
   const auto t = co_await engine_->submitPlanStep(
-      *plan, 0, recv->remote_layout, recv->layout, recv->remote_origin,
-      recv->user_buf);
+      *plan, 0, sender.layout, recv->layout, sender.user_buf, recv->user_buf);
   if (!t.valid()) {
     recv->direct_retry = true;  // request list full: retry on next pass
     markDirty(recv);
     co_return;
   }
   recv->ticket = t;
-  recv->ticket_pending = true;
   markTicketed(recv);
 }
 
 void Proc::finishTicketedRecv(const RequestPtr& req) {
   // Unpack or DirectIPC finished: the receive is done.
-  releaseRecvStaging(*req);
-  if (req->paired) {
-    // DirectIPC: tell the sender its buffer is consumed.
-    Runtime* rt = rt_;
-    RequestPtr sender_req = std::move(req->paired);
-    req->paired.reset();
-    const int sender_rank = sender_req->owner_rank;
-    const std::uint64_t seq = sender_req->seq;
-    rt->cluster().fabric().sendControl(
-        rt->nodeOfRank(rank_), rt->nodeOfRank(sender_rank),
-        [rt, sender_rank, sender_req, seq] {
-          rt->proc(sender_rank).onFin(sender_req, seq);
-        },
-        sender_req->tenant);
-  }
+  releaseStaging(*req);
+  // DirectIPC: tell the sender its buffer is consumed.
+  if (RequestPtr sender_req = std::move(req->paired)) sendFin(sender_req);
   noteComplete(*req);
 }
 
 bool Proc::advance(const RequestPtr& req) {
+  using Phase = Request::Phase;
   if (req->complete) return true;
 
-  if (req->ticket_pending && engine_->done(req->ticket)) {
-    req->ticket_pending = false;
-    if (req->kind == Request::Kind::Send) {
-      req->pack_done = true;  // fall through to the protocol arm below
-    } else {
+  if (req->ticket.valid()) {
+    if (!engine_->done(req->ticket)) return true;  // the DDT engine owns it
+    req->ticket = {};
+    if (req->kind == Request::Kind::Recv) {
       finishTicketedRecv(req);
       return true;
     }
+    if (req->protocol != Protocol::RPut) {
+      issuePacked(req);  // the pack landed: the first wire action
+      return true;
+    }
+    // RPut's RTS left at activation: act on its phase below.
   }
 
-  if (req->kind == Request::Kind::Send) {
-    if (!req->pack_done) return true;  // the DDT engine owns it
-    switch (req->protocol) {
-      case Protocol::Eager:
-        if (!req->data_in_flight) {
-          issueEagerData(req);
-        } else if (!req->complete && retransDue(req)) {
-          sendEagerOnWire(req);  // un-ACKed: back on the wire
-        }
-        break;
-      case Protocol::RGet:
-        if (!req->rts_sent) {
-          issueRts(req);
-        } else if (!req->complete && retransDue(req)) {
-          sendRtsOnWire(req);  // RTS (or its FIN) was lost
-        }
-        break;
-      case Protocol::RPut:
-        if (!req->cts_received) {
-          if (req->rts_sent && retransDue(req)) sendRtsOnWire(req);
-        } else if (!req->data_in_flight) {
-          req->data_in_flight = true;
-          issueRputData(req);
-          armRetrans(req);  // data phase gets its own (fresh) backoff
-        } else if (!req->data_delivered && retransDue(req)) {
-          issueRputData(req);  // the RDMA write was dropped
-        }
-        if (req->data_delivered && !req->complete) {
-          if (req->staging_owned) {
-            freeDevice(req->staging);
-            req->staging_owned = false;
-          }
-          req->paired.reset();
-          req->retrans_deadline = 0;
-          releaseSendToken(*req);
-          noteComplete(*req);
-        }
-        break;
-      case Protocol::DirectIpc:
-        // Receiver-driven; FIN completes us. A lost RTS or FIN surfaces as
-        // a timeout here, and the receiver answers duplicates idempotently.
-        if (!req->complete && retransDue(req)) sendRtsOnWire(req);
-        break;
-    }
+  if (req->kind == Request::Kind::Recv) {
+    if (req->direct_retry) return false;  // the enqueue suspends: caller's job
+    // Only an RGet read arms a receive's deadline: the read was dropped.
+    if (retransDue(req)) issueRgetRead(req, req->paired);
     return true;
   }
-  if (req->direct_retry) return false;  // the enqueue suspends: caller's job
-  if (req->rget_sender && !req->data_delivered && retransDue(req)) {
-    issueRgetRead(req, req->rget_sender);  // the RDMA read was dropped
+  // A send still activating (a restarted persistent one can sit in a slow
+  // pass's snapshot) is Idle with no deadline armed: no arm acts on it.
+  switch (req->protocol) {
+    case Protocol::Eager:
+      if (retransDue(req)) sendEagerOnWire(req);  // un-ACKed: back on the wire
+      break;
+    case Protocol::RGet:
+    case Protocol::DirectIpc:
+      // Receiver-driven; FIN completes us. A lost RTS, read or FIN
+      // surfaces as a timeout here, and the receiver answers duplicate
+      // RTSs idempotently.
+      if (retransDue(req)) sendRtsOnWire(req);
+      break;
+    case Protocol::RPut:
+      switch (req->phase) {
+        case Phase::Idle:
+          break;
+        case Phase::RtsSent:
+          if (retransDue(req)) sendRtsOnWire(req);  // RTS or CTS was lost
+          break;
+        case Phase::CtsReceived:
+          req->phase = Phase::DataSent;
+          issueRputData(req);
+          armRetrans(req);  // data phase gets its own (fresh) backoff
+          break;
+        case Phase::DataSent:
+          if (retransDue(req)) issueRputData(req);  // the write was dropped
+          break;
+        case Phase::DataLanded:
+          completeSend(*req);
+          break;
+      }
+      break;
   }
   return true;
 }
@@ -1017,7 +898,7 @@ sim::Task<void> Proc::progressPass() {
   }
   pass_scratch_.clear();
   std::erase_if(ticketed_, [](const RequestPtr& r) {
-    const bool keep = !r->complete && r->ticket_pending;
+    const bool keep = !r->complete && r->ticket.valid();
     if (!keep) r->in_ticketed = false;
     return !keep;
   });
@@ -1169,7 +1050,7 @@ void Runtime::runAll(const std::function<sim::Task<void>(Proc&)>& body) {
   // a live pool buffer here means a dropped-on-the-floor PayloadRef.
   std::size_t parked = 0;
   for (auto& p : procs_) {
-    parked += p->unexpected_eager_.size();
+    parked += p->unexpected_.size();
     parked += static_cast<std::size_t>(
         std::count_if(p->active_.begin(), p->active_.end(),
                       [](const RequestPtr& r) { return !r->complete; }));

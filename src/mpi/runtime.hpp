@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -256,9 +255,12 @@ class Proc {
   void startEagerDelivery(RequestPtr recv, net::PayloadRef data);
   void startRendezvousDelivery(RequestPtr recv, RequestPtr sender_req);
 
-  /// Packed data has landed in the receive staging — unpack (or finish).
+  /// Packed data sits in the receive's staging (an eager receive's points
+  /// at its payload): unpack it through the DDT engine, or finish a
+  /// contiguous receive, whose staging is its own buffer.
   void finishRecvData(RequestPtr recv);
-  void releaseRecvStaging(Request& r);
+  /// Free owned device staging and drop the payload slot's ref.
+  void releaseStaging(Request& req);
   /// Attempt the DirectIPC enqueue; re-arms direct_retry if the list is full.
   sim::Task<void> tryDirect(RequestPtr recv);
 
@@ -282,10 +284,10 @@ class Proc {
   /// File `req`'s just-armed retransmission deadline in the deadline heap,
   /// so the first pass at or after it advances the request.
   void fileDeadline(const RequestPtr& req);
-  /// Advance one request's protocol state machine: poll its DDT ticket,
-  /// then take the action its protocol phase enables (issue eager data or
-  /// an RTS, start or finish an RPut data phase, fire a due
-  /// retransmission). Never suspends: the hot protocol actions are wire
+  /// Advance one request's protocol state machine: poll its DDT ticket
+  /// (a send whose pack lands takes its protocol's first wire action),
+  /// then act on its phase (start or finish an RPut data phase) or fire a
+  /// due retransmission. Never suspends: the hot protocol actions are wire
   /// pushes and bookkeeping. Returns false, having done nothing, when the
   /// request needs the one suspending action — a DirectIPC enqueue retry —
   /// which the caller performs with tryDirect.
@@ -296,8 +298,16 @@ class Proc {
 
   // Never suspend (wire pushes + local bookkeeping only): plain functions
   // so the hot path pays no coroutine frame for them.
+  /// The send's bytes are packed (or need no pack): take the protocol's
+  /// first wire action. RPut's RTS already left at activation.
+  void issuePacked(const RequestPtr& req);
   void issueEagerData(const RequestPtr& req);
   void issueRts(const RequestPtr& req);
+  /// The payload landed (ACK, FIN or RPut write): release the send.
+  void completeSend(Request& req);
+  /// Receiver -> sender control packets of `sender_req`'s activation.
+  void sendCts(const RequestPtr& sender_req, gpu::MemSpan recv_staging);
+  void sendFin(const RequestPtr& sender_req);
 
   // ---- Reliable transport (no-ops while ReliabilityConfig is off) ----
   bool reliabilityOn() const;
@@ -336,8 +346,6 @@ class Proc {
                                 const ddt::LayoutPtr& layout,
                                 const ddt::LayoutPtr& target_layout = nullptr,
                                 TenantId tenant = kDefaultTenant);
-  /// Reset per-activation protocol state (persistent restarts).
-  static void resetActivationState(Request& req);
   /// Per-tenant state slot (grown on demand).
   TenantStats& tenantState(TenantId t);
   /// Block until the request's tenant is under its inflight window, then
@@ -382,10 +390,15 @@ class Proc {
   std::uint64_t next_progress_order_{0};
   std::size_t sweep_watermark_{64};      // amortized active_ sweep trigger
   MatchTable posted_recvs_;                 // unmatched posted receives
-  /// Eager payloads that arrived before their receive was posted (refs
-  /// into the payload pool — parking is free).
-  ArrivalQueue<net::PayloadRef> unexpected_eager_;
-  std::deque<RequestPtr> unexpected_rts_;   // sender reqs awaiting a match
+  /// A message that arrived before its receive was posted: an eager
+  /// payload (a ref into the payload pool, so parking is free) or, for a
+  /// rendezvous RTS, the sender's request.
+  struct Unexpected {
+    net::PayloadRef eager;
+    RequestPtr rts;
+  };
+  /// One queue for both kinds, so a receive takes them in arrival order.
+  ArrivalQueue<Unexpected> unexpected_;
 
   // Next unissued collective tag (see allocCollectiveTags).
   int next_collective_tag_{kCollectiveTagBase};

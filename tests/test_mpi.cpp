@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -276,6 +277,94 @@ TEST(Matching, AnyTagReceives) {
   }(p4, rbuf));
   w.eng.run();
   EXPECT_EQ(rbuf.bytes[127], std::byte{0x5C});
+}
+
+// Non-overtaking across protocols: a rendezvous RTS and a later eager
+// message from the same sender, both with tag 7, wait unexpected. The
+// first receive posted must get the first message, whether it names the
+// tag or takes any tag.
+TEST(Matching, UnexpectedRtsIsNotOvertakenByLaterEager) {
+  constexpr std::size_t kBig = 64 << 10, kSmall = 1 << 10;
+  for (const Protocol rndv : {Protocol::RGet, Protocol::RPut}) {
+    for (const int recv_tag : {7, kAnyTag}) {
+      SCOPED_TRACE(std::string(rndv == Protocol::RGet ? "RGet" : "RPut") +
+                   " recv tag " + std::to_string(recv_tag));
+      RuntimeConfig cfg;
+      cfg.rendezvous = rndv;
+      World w(hw::lassen(), 2, cfg);
+      auto& p0 = w.rt.proc(0);
+      auto& p4 = w.rt.proc(4);
+      auto big = p0.allocDevice(kBig);
+      auto small = p0.allocDevice(kSmall);
+      auto r1 = p4.allocDevice(kBig);
+      auto r2 = p4.allocDevice(kBig);
+      fillPattern(big, 11);
+      fillPattern(small, 12);
+
+      w.eng.spawn([](Proc& p, gpu::MemSpan a, gpu::MemSpan b) -> sim::Task<void> {
+        auto s1 = co_await p.isend(a, Datatype::byte(), kBig, 4, 7);
+        auto s2 = co_await p.isend(b, Datatype::byte(), kSmall, 4, 7);
+        std::vector<RequestPtr> reqs{s1, s2};
+        co_await p.waitall(std::move(reqs));
+      }(p0, big, small));
+      w.eng.spawn([](Proc& p, gpu::MemSpan a, gpu::MemSpan b,
+                     int tag) -> sim::Task<void> {
+        co_await p.engine().delay(us(200));  // both arrive unexpected
+        auto q1 = co_await p.irecv(a, Datatype::byte(), kBig, 0, tag);
+        auto q2 = co_await p.irecv(b, Datatype::byte(), kBig, 0, tag);
+        std::vector<RequestPtr> reqs{q1, q2};
+        co_await p.waitall(std::move(reqs));
+      }(p4, r1, r2, recv_tag));
+      w.eng.run();
+
+      EXPECT_EQ(w.eng.unfinishedTasks(), 0u);
+      EXPECT_EQ(std::memcmp(r1.bytes.data(), big.bytes.data(), kBig), 0);
+      EXPECT_EQ(std::memcmp(r2.bytes.data(), small.bytes.data(), kSmall), 0);
+    }
+  }
+}
+
+// An RTS parked in the unexpected queue keeps timing out at the sender.
+// Its retransmissions must be dropped, not parked again: the next receive
+// would match a stale copy of the first send in place of the second one.
+TEST(Matching, RetransmittedRtsWhileUnexpectedIsDropped) {
+  constexpr std::size_t kBytes = 64 << 10;
+  for (const Protocol rndv : {Protocol::RGet, Protocol::RPut}) {
+    SCOPED_TRACE(rndv == Protocol::RGet ? "RGet" : "RPut");
+    RuntimeConfig cfg;
+    cfg.rendezvous = rndv;
+    cfg.reliability.enabled = true;
+    cfg.reliability.base_timeout = us(20);
+    World w(hw::lassen(), 2, cfg);
+    auto& p0 = w.rt.proc(0);
+    auto& p4 = w.rt.proc(4);
+    auto s1 = p0.allocDevice(kBytes);
+    auto s2 = p0.allocDevice(kBytes);
+    auto r1 = p4.allocDevice(kBytes);
+    auto r2 = p4.allocDevice(kBytes);
+    fillPattern(s1, 21);
+    fillPattern(s2, 22);
+
+    w.eng.spawn([](Proc& p, gpu::MemSpan a, gpu::MemSpan b) -> sim::Task<void> {
+      auto q1 = co_await p.isend(a, Datatype::byte(), kBytes, 4, 5);
+      co_await p.wait(q1);
+      auto q2 = co_await p.isend(b, Datatype::byte(), kBytes, 4, 5);
+      co_await p.wait(q2);
+    }(p0, s1, s2));
+    w.eng.spawn([](Proc& p, gpu::MemSpan a, gpu::MemSpan b) -> sim::Task<void> {
+      co_await p.engine().delay(us(300));  // several RTS timeouts pass
+      auto q1 = co_await p.irecv(a, Datatype::byte(), kBytes, 0, 5);
+      co_await p.wait(q1);
+      auto q2 = co_await p.irecv(b, Datatype::byte(), kBytes, 0, 5);
+      co_await p.wait(q2);
+    }(p4, r1, r2));
+    w.eng.run();
+
+    EXPECT_EQ(w.eng.unfinishedTasks(), 0u);
+    EXPECT_GT(p0.transport().retransmissions, 0u);
+    EXPECT_EQ(std::memcmp(r1.bytes.data(), s1.bytes.data(), kBytes), 0);
+    EXPECT_EQ(std::memcmp(r2.bytes.data(), s2.bytes.data(), kBytes), 0);
+  }
 }
 
 // ---- Explicit pack/unpack (Algorithm 1 building blocks) ----

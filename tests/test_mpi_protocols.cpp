@@ -28,27 +28,32 @@ struct World {
 };
 
 TEST(ZeroSize, EmptyMessageCompletesBothSides) {
-  World w;
-  auto& p0 = w.rt.proc(0);
-  auto& p4 = w.rt.proc(4);
-  auto sbuf = p0.allocDevice(16);
-  auto rbuf = p4.allocDevice(16);
+  // Over real buffers and over default (null) spans: the eager delivery
+  // has nothing to copy and must not hand memcpy a null destination.
+  for (const bool null_spans : {false, true}) {
+    SCOPED_TRACE(null_spans ? "null spans" : "16 B buffers");
+    World w;
+    auto& p0 = w.rt.proc(0);
+    auto& p4 = w.rt.proc(4);
+    const auto sbuf = null_spans ? gpu::MemSpan{} : p0.allocDevice(16);
+    const auto rbuf = null_spans ? gpu::MemSpan{} : p4.allocDevice(16);
 
-  bool send_done = false, recv_done = false;
-  w.eng.spawn([](Proc& p, gpu::MemSpan b, bool& flag) -> sim::Task<void> {
-    auto req = co_await p.isend(b, Datatype::byte(), 0, 4, 1);
-    co_await p.wait(req);
-    flag = true;
-  }(p0, sbuf, send_done));
-  w.eng.spawn([](Proc& p, gpu::MemSpan b, bool& flag) -> sim::Task<void> {
-    auto req = co_await p.irecv(b, Datatype::byte(), 0, 0, 1);
-    co_await p.wait(req);
-    flag = true;
-  }(p4, rbuf, recv_done));
-  w.eng.run();
-  EXPECT_TRUE(send_done);
-  EXPECT_TRUE(recv_done);
-  EXPECT_EQ(w.eng.unfinishedTasks(), 0u);
+    bool send_done = false, recv_done = false;
+    w.eng.spawn([](Proc& p, gpu::MemSpan b, bool& flag) -> sim::Task<void> {
+      auto req = co_await p.isend(b, Datatype::byte(), 0, 4, 1);
+      co_await p.wait(req);
+      flag = true;
+    }(p0, sbuf, send_done));
+    w.eng.spawn([](Proc& p, gpu::MemSpan b, bool& flag) -> sim::Task<void> {
+      auto req = co_await p.irecv(b, Datatype::byte(), 0, 0, 1);
+      co_await p.wait(req);
+      flag = true;
+    }(p4, rbuf, recv_done));
+    w.eng.run();
+    EXPECT_TRUE(send_done);
+    EXPECT_TRUE(recv_done);
+    EXPECT_EQ(w.eng.unfinishedTasks(), 0u);
+  }
 }
 
 TEST(Ordering, SameTagMessagesArriveInPostOrder) {

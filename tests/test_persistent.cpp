@@ -49,7 +49,10 @@ TEST(Persistent, RestartDeliversFreshData) {
     for (int round = 0; round < kRounds; ++round) {
       // New payload each round: the restarted send must pick it up.
       std::memset(b.bytes.data(), 0x30 + round, b.size());
+      // Latency counts from this start, not from sendInit.
+      const TimeNs before = p.engine().now();
       co_await p.start(req);
+      EXPECT_GE(req->posted_at, before) << round;
       EXPECT_TRUE(req->active);
       co_await p.wait(req);
       EXPECT_FALSE(req->active);
@@ -59,7 +62,9 @@ TEST(Persistent, RestartDeliversFreshData) {
   w.eng.spawn([](Proc& p, gpu::MemSpan b, ddt::DatatypePtr t) -> sim::Task<void> {
     auto req = co_await p.recvInit(b, t, 1, 0, 0);
     for (int round = 0; round < kRounds; ++round) {
+      const TimeNs before = p.engine().now();
       co_await p.start(req);
+      EXPECT_GE(req->posted_at, before) << round;
       co_await p.wait(req);
       // Data of THIS round (layout bytes carry the round marker).
       EXPECT_EQ(b.bytes[0], static_cast<std::byte>(0x30 + round)) << round;
