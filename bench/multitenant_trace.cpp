@@ -94,7 +94,6 @@ struct ModeResult {
   TimeNs vtime{0};
   std::size_t events{0};
   std::size_t peak_pending{0};
-  std::size_t calendar_engagements{0};
   std::size_t degraded_transfers{0};
   // Whole-run allocation accounting (zeros unless DKF_COUNT_ALLOCS) and
   // payload-pool telemetry (net/payload.hpp).
@@ -274,7 +273,6 @@ ModeResult runMode(const ModeCfg& m) {
   r.vtime = eng.now();
   r.events = eng.processedEvents();
   r.peak_pending = eng.peakPending();
-  r.calendar_engagements = eng.calendarEngagements();
   if (plan) r.degraded_transfers = plan->counters().degraded_transfers;
   r.messages = vic_lat.size() + adv_lat.size();
   r.total_allocs = static_cast<std::size_t>(allocCount() - allocs0);
@@ -397,8 +395,7 @@ int main(int argc, char** argv) {
   }
 
   bench::Table table({"Mode", "Msgs", "Victim p50", "p99", "p999 us",
-                      "Adv p99", "PeakPend", "CalEng", "Throttled",
-                      "Wall s"});
+                      "Adv p99", "PeakPend", "Throttled", "Wall s"});
   for (const ModeResult& r : results) {
     table.addRow({r.name, std::to_string(r.messages),
                   fmt(r.tenants[kVictim].latency_us.p50, 1),
@@ -406,7 +403,6 @@ int main(int argc, char** argv) {
                   fmt(r.tenants[kVictim].latency_us.p999, 1),
                   fmt(r.tenants[kAdversary].latency_us.p99, 1),
                   std::to_string(r.peak_pending),
-                  std::to_string(r.calendar_engagements),
                   std::to_string(r.tenants[kAdversary].throttle_waits),
                   fmt(r.wall_s)});
   }
@@ -462,7 +458,6 @@ int main(int argc, char** argv) {
          << ", \"virtual_end_ns\": " << r.vtime
          << ", \"events\": " << r.events
          << ", \"peak_pending\": " << r.peak_pending
-         << ", \"calendar_engagements\": " << r.calendar_engagements
          << ", \"degraded_transfers\": " << r.degraded_transfers
          << ", \"allocs_per_msg\": " << r.allocsPerMsg()
          << ", \"total_allocs\": " << r.total_allocs

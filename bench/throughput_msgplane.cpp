@@ -183,7 +183,6 @@ struct ModeResult {
   std::size_t messages{};
   std::size_t events{};
   std::size_t peak_pending{};
-  std::size_t calendar_engagements{};
   std::size_t batched_deliveries{};
   std::size_t armed_events{};
   std::size_t coalesced_deliveries{};
@@ -268,7 +267,6 @@ ModeResult runMode(const std::string& name, std::size_t total_msgs,
   r.messages = per_rank * static_cast<std::size_t>(ranks);
   r.events = eng.processedEvents();
   r.peak_pending = eng.peakPending();
-  r.calendar_engagements = eng.calendarEngagements();
   r.batched_deliveries = cluster.fabric().batchedDeliveries();
   r.armed_events = cluster.fabric().batchedArmedEvents();
   r.coalesced_deliveries = cluster.fabric().coalescedDeliveries();
@@ -412,7 +410,6 @@ int main(int argc, char** argv) {
          << ", \"messages\": " << m.messages
          << ", \"events\": " << m.events
          << ", \"peak_pending\": " << m.peak_pending
-         << ", \"calendar_engagements\": " << m.calendar_engagements
          << ", \"batched_deliveries\": " << m.batched_deliveries
          << ", \"armed_events\": " << m.armed_events
          << ", \"coalesced_deliveries\": " << m.coalesced_deliveries

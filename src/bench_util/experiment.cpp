@@ -31,7 +31,6 @@ sim::Task<void> rankBody(mpi::Proc& proc, const ExchangeConfig& cfg,
                          RankState& bufs, int peer, bool timing_rank,
                          ExchangeResult& result) {
   const int total_iters = cfg.warmup + cfg.iterations;
-  const bool sender_side = proc.rank() < peer;
 
   for (int iter = 0; iter < total_iters; ++iter) {
     co_await proc.barrier(2);
@@ -45,18 +44,12 @@ sim::Task<void> rankBody(mpi::Proc& proc, const ExchangeConfig& cfg,
     std::vector<mpi::RequestPtr> reqs;
     reqs.reserve(static_cast<std::size_t>(2 * cfg.n_ops));
     for (int i = 0; i < cfg.n_ops; ++i) {
-      if (cfg.bidirectional || !sender_side) {
-        reqs.push_back(co_await proc.irecv(bufs.recv_bufs[i],
-                                           cfg.workload.type,
-                                           cfg.workload.count, peer, i));
-      }
+      reqs.push_back(co_await proc.irecv(bufs.recv_bufs[i], cfg.workload.type,
+                                         cfg.workload.count, peer, i));
     }
     for (int i = 0; i < cfg.n_ops; ++i) {
-      if (cfg.bidirectional || sender_side) {
-        reqs.push_back(co_await proc.isend(bufs.send_bufs[i],
-                                           cfg.workload.type,
-                                           cfg.workload.count, peer, i));
-      }
+      reqs.push_back(co_await proc.isend(bufs.send_bufs[i], cfg.workload.type,
+                                         cfg.workload.count, peer, i));
     }
     co_await proc.waitall(std::move(reqs));
 

@@ -33,7 +33,6 @@ struct ExchangeConfig {
   int iterations{100};   ///< timed iterations
   int warmup{10};        ///< discarded iterations
   bool intra_node{false};  ///< place both ranks on one node (DirectIPC)
-  bool bidirectional{true};  ///< halo exchange (both directions at once)
   mpi::Protocol rendezvous{mpi::Protocol::RGet};
 
   // ---- Fault injection (off by default: identical to the seed harness) --

@@ -16,8 +16,6 @@ Proc::Proc(Runtime& rt, int rank, gpu::Gpu& gpu)
       rank_(rank),
       gpu_(&gpu),
       cpu_(std::make_unique<sim::CpuTimeline>(rt.engine())),
-      layout_cache_(rt.config().layout_cache),
-      plan_cache_(rt.config().plan_cache),
       request_arena_(std::make_shared<detail::ArenaBlocks>()) {
   core::FusionPolicy tuned;
   const RuntimeConfig& cfg = rt.config();
@@ -335,10 +333,7 @@ bool Proc::retransDue(const RequestPtr& ptr) {
                     << " retransmissions");
   ++req.retransmissions;
   ++transport_.retransmissions;
-  req.retrans_timeout = std::min<DurationNs>(
-      static_cast<DurationNs>(static_cast<double>(req.retrans_timeout) *
-                              rc.backoff),
-      rc.max_timeout);
+  req.retrans_timeout = std::min(2 * req.retrans_timeout, rc.max_timeout);
   req.retrans_deadline = rt_->engine().now() + req.retrans_timeout;
   // File the re-armed deadline even when no heap entry led here: a slow
   // pass scans every active request, and virtual time advances across its

@@ -40,10 +40,9 @@ namespace dkf::mpi {
 /// fault-free wire protocol (and its timing) is untouched.
 struct ReliabilityConfig {
   bool enabled{false};
-  /// First retransmission fires this long after the original send.
+  /// First retransmission fires this long after the original send; each
+  /// retransmission doubles the timeout.
   DurationNs base_timeout{us(150)};
-  /// Timeout multiplier per retransmission (exponential backoff).
-  double backoff{2.0};
   /// Backoff ceiling.
   DurationNs max_timeout{ms(8)};
   /// Give up (DKF_CHECK failure) after this many retransmissions of one
@@ -88,10 +87,6 @@ struct RuntimeConfig {
   DurationNs call_overhead{ns(150)};
   /// Retransmission layer (see ReliabilityConfig).
   ReliabilityConfig reliability{};
-  /// Per-rank layout-cache budget (entries/bytes; 0 = unbounded).
-  ddt::LayoutCacheLimits layout_cache{};
-  /// Per-rank compiled-plan cache budget (entries/bytes; 0 = unbounded).
-  core::PlanCacheLimits plan_cache{};
   /// Fabric delivery coalescing window: 0 (default) is exact; > 0 models
   /// NIC interrupt moderation and trades per-message timing (bounded by
   /// the window) for fewer events.

@@ -86,7 +86,9 @@ class LinkBatcher {
   // ---- Instrumentation (tests + bench) ----
   /// Deliveries executed.
   std::size_t deliveries() const { return deliveries_; }
-  /// Engine events armed; deliveries() - armedFires() were coalesced.
+  /// Engine events armed. Under FIFO every armed event delivers, so
+  /// deliveries() - armedEvents() == coalescedDeliveries(); under DRR an
+  /// event superseded by a re-arm fires empty.
   std::size_t armedEvents() const { return armed_events_; }
   /// Events that carried more than one delivery.
   std::size_t coalescedRuns() const { return coalesced_runs_; }

@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 
 namespace dkf::sim {
@@ -10,13 +9,6 @@ namespace {
 /// 4-ary heap: shallower than binary for the same size, so pops touch
 /// fewer cache lines; children of i are [4i+1, 4i+4].
 constexpr std::size_t kHeapArity = 4;
-
-/// Calendar sizing bounds. Bucket count tracks the population (one event
-/// per bucket on average); width tracks the population's time span so one
-/// "year" covers the pending horizon.
-constexpr std::size_t kCalMinBuckets = 256;
-constexpr std::size_t kCalMaxBuckets = std::size_t{1} << 22;
-constexpr unsigned kCalMaxShift = 40;
 
 // Read per construction, not cached: engines are built rarely, and tests
 // toggle DKF_AUDIT between worlds inside one process.
@@ -42,16 +34,9 @@ std::uint32_t Engine::allocSlot(Callback cb) {
 }
 
 void Engine::pushKey(const EventKey& key) {
-  if (tier_ == QueueTier::Heap) {
-    heap_.push_back(key);
-    siftUp(heap_.size() - 1);
-    if (calendar_engage_ != 0 && heap_.size() >= calendar_engage_) {
-      engageCalendar();
-    }
-  } else {
-    calInsert(key);
-  }
-  peak_pending_ = std::max(peak_pending_, queueSize());
+  heap_.push_back(key);
+  siftUp(heap_.size() - 1);
+  peak_pending_ = std::max(peak_pending_, heap_.size());
 }
 
 void Engine::scheduleAt(TimeNs t, Callback cb) {
@@ -65,18 +50,7 @@ void Engine::scheduleAtSeq(TimeNs t, std::uint64_t seq, Callback cb) {
   pushKey(EventKey{t, seq, allocSlot(std::move(cb))});
 }
 
-void Engine::setCalendarThreshold(std::size_t engage) {
-  calendar_engage_ = engage;
-  if (tier_ == QueueTier::Calendar &&
-      (engage == 0 || cal_size_ < engage / 4)) {
-    disengageCalendar();
-  } else if (tier_ == QueueTier::Heap && engage != 0 &&
-             heap_.size() >= engage) {
-    engageCalendar();
-  }
-}
-
-// ------------------------------------------------------------ heap tier ----
+// ----------------------------------------------------------------- heap ----
 
 void Engine::siftUp(std::size_t i) {
   const EventKey key = heap_[i];
@@ -118,143 +92,7 @@ Engine::EventKey Engine::heapPop() {
   return top;
 }
 
-// -------------------------------------------------------- calendar tier ----
-
-void Engine::calInsert(const EventKey& key) {
-  const std::size_t b = calBucketOf(key.time);
-  cal_buckets_[b].push_back(key);
-  ++cal_size_;
-  // Appends never move existing elements, so the cached min location stays
-  // valid; it only needs updating when the newcomer beats it.
-  if (cal_min_valid_ &&
-      before(key, cal_buckets_[cal_min_bucket_][cal_min_index_])) {
-    cal_min_bucket_ = b;
-    cal_min_index_ = cal_buckets_[b].size() - 1;
-  }
-  if (cal_size_ > 4 * cal_buckets_.size() &&
-      cal_buckets_.size() < kCalMaxBuckets) {
-    calRebuild();
-  }
-}
-
-void Engine::calFindMin() const {
-  if (cal_min_valid_) return;
-  DKF_CHECK(cal_size_ > 0);
-  const std::size_t nb = cal_buckets_.size();
-  // Every pending event has time >= now_, so the search starts at now_'s
-  // "day" (bucket-width window). Within the day being scanned, only events
-  // of that day are candidates — others in the same bucket belong to later
-  // years and lose to any event found in an earlier day.
-  std::uint64_t day = now_ >> cal_shift_;
-  for (std::size_t step = 0; step < nb; ++step, ++day) {
-    const std::vector<EventKey>& bucket = cal_buckets_[day & cal_mask_];
-    bool found = false;
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if ((bucket[i].time >> cal_shift_) != day) continue;
-      if (!found || before(bucket[i], bucket[best])) {
-        best = i;
-        found = true;
-      }
-    }
-    if (found) {
-      cal_min_bucket_ = day & cal_mask_;
-      cal_min_index_ = best;
-      cal_min_valid_ = true;
-      return;
-    }
-  }
-  // A whole year is empty: the population sits further out than one year.
-  // Direct search — rare, and the rebuild policy keeps years matched to
-  // the pending horizon.
-  bool found = false;
-  for (std::size_t b = 0; b < nb; ++b) {
-    const std::vector<EventKey>& bucket = cal_buckets_[b];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if (!found || before(bucket[i],
-                           cal_buckets_[cal_min_bucket_][cal_min_index_])) {
-        cal_min_bucket_ = b;
-        cal_min_index_ = i;
-        found = true;
-      }
-    }
-  }
-  DKF_CHECK(found);
-  cal_min_valid_ = true;
-}
-
-Engine::EventKey Engine::calPop() {
-  calFindMin();
-  std::vector<EventKey>& bucket = cal_buckets_[cal_min_bucket_];
-  const EventKey key = bucket[cal_min_index_];
-  bucket[cal_min_index_] = bucket.back();
-  bucket.pop_back();
-  --cal_size_;
-  cal_min_valid_ = false;
-  return key;
-}
-
-void Engine::calRebuild() {
-  // Bucket count: one pending event per bucket on average. Width: the
-  // pending horizon divided across one year of buckets, so consecutive
-  // days cover the population densely (pow2 for shift/mask addressing).
-  std::vector<EventKey> all;
-  all.reserve(cal_size_);
-  for (std::vector<EventKey>& bucket : cal_buckets_) {
-    all.insert(all.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-  const std::size_t nb = std::clamp(std::bit_ceil(all.size()),
-                                    kCalMinBuckets, kCalMaxBuckets);
-  TimeNs max_t = now_;
-  for (const EventKey& k : all) max_t = std::max(max_t, k.time);
-  const TimeNs span = std::max<TimeNs>(max_t - now_ + 1, 1);
-  const TimeNs target_width =
-      std::max<TimeNs>(std::bit_ceil((span + nb - 1) / nb), 1);
-  cal_shift_ = std::min(
-      static_cast<unsigned>(std::bit_width(target_width) - 1), kCalMaxShift);
-  cal_mask_ = nb - 1;
-  cal_buckets_.assign(nb, {});
-  cal_min_valid_ = false;
-  cal_size_ = 0;
-  for (const EventKey& k : all) calInsert(k);
-}
-
-void Engine::engageCalendar() {
-  tier_ = QueueTier::Calendar;
-  ++calendar_engagements_;
-  cal_buckets_.assign(1, {});
-  cal_mask_ = 0;
-  cal_size_ = heap_.size();
-  cal_buckets_[0] = std::move(heap_);
-  heap_.clear();
-  cal_min_valid_ = false;
-  calRebuild();
-}
-
-void Engine::disengageCalendar() {
-  std::vector<EventKey> all;
-  all.reserve(cal_size_);
-  for (std::vector<EventKey>& bucket : cal_buckets_) {
-    all.insert(all.end(), bucket.begin(), bucket.end());
-  }
-  std::sort(all.begin(), all.end(),
-            [](const EventKey& a, const EventKey& b) { return before(a, b); });
-  heap_ = std::move(all);  // a sorted array satisfies the heap property
-  cal_buckets_.clear();
-  cal_size_ = 0;
-  cal_mask_ = 0;
-  cal_min_valid_ = false;
-  tier_ = QueueTier::Heap;
-}
-
 // ------------------------------------------------------------- stepping ----
-
-const Engine::EventKey& Engine::peekMin() const {
-  if (tier_ == QueueTier::Heap) return heap_.front();
-  calFindMin();
-  return cal_buckets_[cal_min_bucket_][cal_min_index_];
-}
 
 bool Engine::step() {
   drainFinished();
@@ -262,22 +100,18 @@ bool Engine::step() {
   // Watchdog fires *before* the offending event is removed: the dump below
   // describes an intact queue (the event at `top.time` is still its head),
   // so post-mortem inspection sees exactly the state that tripped it.
-  const EventKey& top = peekMin();
+  const EventKey& top = heap_.front();
   DKF_CHECK_MSG(
       !watchdog_armed_ || top.time <= watchdog_deadline_,
       "sim watchdog tripped: next event at t=" << top.time
           << " ns exceeds the liveness deadline " << watchdog_deadline_
           << " ns (now=" << now_ << " ns, processed=" << processed_
-          << " events, pending=" << queueSize()
+          << " events, pending=" << heap_.size()
           << ", suspended tasks=" << live_tasks_
           << "; queue left intact, offending event still at the head) "
              "— a lost control packet or un-acked transfer is likely "
              "spinning a progress loop");
-  const EventKey key = tier_ == QueueTier::Heap ? heapPop() : calPop();
-  if (tier_ == QueueTier::Calendar && calendar_engage_ != 0 &&
-      cal_size_ < calendar_engage_ / 4) {
-    disengageCalendar();
-  }
+  const EventKey key = heapPop();
   Callback cb = std::move(slots_[key.slot]);
   free_slots_.push_back(key.slot);
   now_ = key.time;
@@ -295,7 +129,7 @@ std::size_t Engine::run(std::size_t max_events) {
 }
 
 void Engine::runUntil(TimeNs t) {
-  while (!empty() && peekMin().time <= t) step();
+  while (!empty() && heap_.front().time <= t) step();
   drainFinished();
   now_ = std::max(now_, t);
 }
@@ -303,50 +137,20 @@ void Engine::runUntil(TimeNs t) {
 // ------------------------------------------------------------- auditing ----
 
 void Engine::auditInvariants() const {
-  std::vector<EventKey> keys;
-  if (tier_ == QueueTier::Heap) {
-    keys = heap_;
-    for (std::size_t i = 1; i < heap_.size(); ++i) {
-      const std::size_t parent = (i - 1) / kHeapArity;
-      DKF_CHECK_MSG(!before(heap_[i], heap_[parent]),
-                    "heap order violated at index "
-                        << i << ": child (t=" << heap_[i].time
-                        << ", seq=" << heap_[i].seq << ") before parent (t="
-                        << heap_[parent].time << ", seq=" << heap_[parent].seq
-                        << ")");
-    }
-  } else {
-    keys.reserve(cal_size_);
-    std::size_t counted = 0;
-    for (std::size_t b = 0; b < cal_buckets_.size(); ++b) {
-      for (const EventKey& k : cal_buckets_[b]) {
-        DKF_CHECK_MSG(calBucketOf(k.time) == b,
-                      "calendar event in the wrong bucket: t=" << k.time
-                          << " seq=" << k.seq << " stored in bucket " << b
-                          << " but maps to " << calBucketOf(k.time));
-        keys.push_back(k);
-        ++counted;
-      }
-    }
-    DKF_CHECK_MSG(counted == cal_size_,
-                  "calendar size drift: counted " << counted << " events, "
-                      << "cal_size_=" << cal_size_);
-    if (cal_min_valid_) {
-      const EventKey& cached =
-          cal_buckets_[cal_min_bucket_][cal_min_index_];
-      for (const EventKey& k : keys) {
-        DKF_CHECK_MSG(!before(k, cached),
-                      "calendar min cache stale: cached (t=" << cached.time
-                          << ", seq=" << cached.seq << ") but (t=" << k.time
-                          << ", seq=" << k.seq << ") is earlier");
-      }
-    }
+  for (std::size_t i = 1; i < heap_.size(); ++i) {
+    const std::size_t parent = (i - 1) / kHeapArity;
+    DKF_CHECK_MSG(!before(heap_[i], heap_[parent]),
+                  "heap order violated at index "
+                      << i << ": child (t=" << heap_[i].time
+                      << ", seq=" << heap_[i].seq << ") before parent (t="
+                      << heap_[parent].time << ", seq=" << heap_[parent].seq
+                      << ")");
   }
 
   // Slot-pool consistency: every queued key owns a distinct live slot,
   // every free-list entry is distinct, and together they cover the pool.
   std::vector<std::uint8_t> seen(slots_.size(), 0);
-  for (const EventKey& k : keys) {
+  for (const EventKey& k : heap_) {
     DKF_CHECK_MSG(k.time >= now_, "queued event in the past: t=" << k.time
                                       << " now=" << now_);
     DKF_CHECK_MSG(k.seq < seq_, "queued event with unissued seq " << k.seq);
@@ -360,16 +164,16 @@ void Engine::auditInvariants() const {
     DKF_CHECK_MSG(!seen[s], "slot " << s << " both queued and free");
     seen[s] = 2;
   }
-  DKF_CHECK_MSG(keys.size() + free_slots_.size() == slots_.size(),
-                "slot pool leak: " << keys.size() << " queued + "
+  DKF_CHECK_MSG(heap_.size() + free_slots_.size() == slots_.size(),
+                "slot pool leak: " << heap_.size() << " queued + "
                     << free_slots_.size() << " free != " << slots_.size()
                     << " slots");
 
   // Key uniqueness: (time, seq) is a total order, so no two queued events
   // may share a seq.
   std::vector<std::uint64_t> seqs;
-  seqs.reserve(keys.size());
-  for (const EventKey& k : keys) seqs.push_back(k.seq);
+  seqs.reserve(heap_.size());
+  for (const EventKey& k : heap_) seqs.push_back(k.seq);
   std::sort(seqs.begin(), seqs.end());
   DKF_CHECK_MSG(std::adjacent_find(seqs.begin(), seqs.end()) == seqs.end(),
                 "duplicate event sequence number in the queue");

@@ -13,14 +13,9 @@
 // inline-callback type keeps every capture that fits its budget off the
 // heap — the steady-state event loop performs zero allocations.
 //
-// Queue tiers (MODEL.md §13): the pending set lives in a 4-ary min-heap
-// while it is small (sift depth ~log4 n, cache-friendly) and migrates to a
-// calendar queue — O(1) bucketed insert, near-O(1) pop — once it crosses
-// the heap's sweet spot (setCalendarThreshold). Both tiers pop the exact
-// global (time, seq) minimum, so the event order is identical whichever
-// tier is active and whenever the switch happens; the tier is purely a
-// host-performance decision. DKF_AUDIT=1 (or setAudit) re-verifies the
-// structural invariants of the active tier after every step.
+// Event queue (MODEL.md §10): one 4-ary min-heap on (time, seq); sifts
+// are ~log4 n deep and touch few cache lines. DKF_AUDIT=1 (or setAudit)
+// re-verifies the heap order and the slot pool after every step.
 //
 // Batched event keys: external coalescers (net::LinkBatcher) reserve one
 // sequence number per logical event with allocSeq() at the time the event
@@ -43,8 +38,6 @@ namespace dkf::sim {
 class Engine {
  public:
   using Callback = EventCallback;
-
-  enum class QueueTier : std::uint8_t { Heap, Calendar };
 
   Engine();
   Engine(const Engine&) = delete;
@@ -81,22 +74,12 @@ class Engine {
   /// Run events with time <= t, then set now() = t.
   void runUntil(TimeNs t);
 
-  bool empty() const { return queueSize() == 0; }
-  std::size_t pendingEvents() const { return queueSize(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pendingEvents() const { return heap_.size(); }
   std::size_t processedEvents() const { return processed_; }
 
-  /// Active queue implementation (host-performance detail; the event order
-  /// is identical in both tiers).
-  QueueTier queueTier() const { return tier_; }
-  /// Times the pending set migrated heap -> calendar.
-  std::size_t calendarEngagements() const { return calendar_engagements_; }
   /// High-water mark of the pending-event set over the engine's lifetime.
   std::size_t peakPending() const { return peak_pending_; }
-  /// Pending-event count at which the calendar tier engages (it disengages
-  /// below a quarter of this, giving hysteresis). 0 disables the calendar
-  /// tier entirely. Takes effect on the next schedule/pop.
-  void setCalendarThreshold(std::size_t engage);
-  std::size_t calendarThreshold() const { return calendar_engage_; }
 
   /// Liveness watchdog: the first event whose timestamp exceeds `deadline`
   /// (absolute virtual time) throws CheckFailure with a diagnostic dump
@@ -113,12 +96,12 @@ class Engine {
   void clearWatchdog() { watchdog_armed_ = false; }
   bool watchdogArmed() const { return watchdog_armed_; }
 
-  /// Structural invariant audit of the active queue tier: heap ordering /
-  /// calendar bucket placement, slot-pool consistency (no dangling, no
-  /// double-free, every slot accounted), key uniqueness, no event in the
-  /// past. Throws CheckFailure on violation. Runs automatically after
-  /// every step while auditing is enabled (setAudit(true) or environment
-  /// DKF_AUDIT=1) — O(pending) per step, so test/debug only.
+  /// Structural invariant audit of the event queue: heap ordering,
+  /// slot-pool consistency (no dangling, no double-free, every slot
+  /// accounted), key uniqueness, no event in the past. Throws
+  /// CheckFailure on violation. Runs automatically after every step while
+  /// auditing is enabled (setAudit(true) or environment DKF_AUDIT=1) —
+  /// O(pending) per step, so test/debug only.
   void auditInvariants() const;
   void setAudit(bool on) { audit_ = on; }
   bool auditEnabled() const { return audit_; }
@@ -155,8 +138,8 @@ class Engine {
 
  private:
   /// Queue element: ordering key plus the index of the callback's pool
-  /// slot. Heap sifts and calendar moves touch 24 bytes; the callback
-  /// itself never moves while queued.
+  /// slot. Heap sifts touch 24 bytes; the callback itself never moves
+  /// while queued.
   struct EventKey {
     TimeNs time;
     std::uint64_t seq;
@@ -168,35 +151,12 @@ class Engine {
     return a.seq < b.seq;
   }
 
-  std::size_t queueSize() const {
-    return tier_ == QueueTier::Heap ? heap_.size() : cal_size_;
-  }
-
   std::uint32_t allocSlot(Callback cb);
   void pushKey(const EventKey& key);
 
-  // ---- Heap tier ----
   void siftUp(std::size_t i);
   void siftDown(std::size_t i);
   EventKey heapPop();
-
-  // ---- Calendar tier ----
-  std::size_t calBucketOf(TimeNs t) const {
-    return static_cast<std::size_t>(t >> cal_shift_) & cal_mask_;
-  }
-  void calInsert(const EventKey& key);
-  /// Locate (and cache) the global minimum; cal_size_ must be > 0.
-  void calFindMin() const;
-  EventKey calPop();
-  /// Move every pending event heap -> calendar (or back), picking bucket
-  /// count and width from the population. Order-neutral by construction.
-  void engageCalendar();
-  void disengageCalendar();
-  /// Rebuild with capacity/width suited to the current population.
-  void calRebuild();
-
-  /// Earliest pending key (either tier); queue must be non-empty.
-  const EventKey& peekMin() const;
 
   /// Final-suspend notification from a spawned task (called while the
   /// coroutine sits at its final suspend point; retirement is deferred to
@@ -216,21 +176,9 @@ class Engine {
   bool watchdog_armed_{false};
   bool audit_{false};
 
-  QueueTier tier_{QueueTier::Heap};
-  std::size_t calendar_engage_{8192};
-  std::size_t calendar_engagements_{0};
   std::size_t peak_pending_{0};
 
   std::vector<EventKey> heap_;        // 4-ary min-heap on (time, seq)
-
-  std::vector<std::vector<EventKey>> cal_buckets_;
-  std::size_t cal_size_{0};
-  std::size_t cal_mask_{0};           // buckets.size() - 1 (power of two)
-  unsigned cal_shift_{10};            // bucket width = 1 << shift ns
-  // Cached location of the current minimum (mutable: peek is const).
-  mutable bool cal_min_valid_{false};
-  mutable std::size_t cal_min_bucket_{0};
-  mutable std::size_t cal_min_index_{0};
 
   std::vector<Callback> slots_;       // callback pool, indexed by EventKey::slot
   std::vector<std::uint32_t> free_slots_;

@@ -1,10 +1,9 @@
-// Batched message plane (MODEL.md §13): calendar-tier order equivalence,
-// the DKF_AUDIT invariant checker, MatchTable / ArrivalQueue equivalence
-// with the seed's linear scans, LinkBatcher coalescing semantics, and
-// end-to-end determinism against frozen golden digests — identical
-// completions, bytes, virtual end time and retransmissions, fault-free and
-// under 12% loss, over eager, rendezvous (RGet, RPut) and DirectIPC
-// traffic.
+// Batched message plane (MODEL.md §13): the DKF_AUDIT invariant checker,
+// MatchTable / ArrivalQueue equivalence with the seed's linear scans,
+// LinkBatcher coalescing semantics, and end-to-end determinism against
+// frozen golden digests — identical completions, bytes, virtual end time
+// and retransmissions, fault-free and under 12% loss, over eager,
+// rendezvous (RGet, RPut) and DirectIPC traffic.
 //
 // The determinism fuzz runs under bench::parallelFor; gtest assertions are
 // not thread-safe, so workers record failure strings and the main thread
@@ -35,88 +34,45 @@
 namespace dkf {
 namespace {
 
-// ---- Calendar tier: exact (time, seq) order equivalence -----------------
+// ---- DKF_AUDIT invariant checker ----------------------------------------
 
-/// Drive `eng` with a self-expanding event cascade and record the pop order
-/// of event ids. Both tiers must produce the identical sequence.
-std::vector<std::uint64_t> popOrder(sim::Engine& eng, std::uint64_t seed,
-                                    std::size_t target) {
-  std::vector<std::uint64_t> order;
-  order.reserve(target);
+/// Drive `eng` with a self-expanding event cascade of up to `target` events.
+void runCascade(sim::Engine& eng, std::uint64_t seed, std::size_t target) {
   auto rng = std::make_shared<Rng>(seed);
-  auto next_id = std::make_shared<std::uint64_t>(0);
-  // Each callback records its id and fans out into 0..2 children at a
-  // random future offset (same-time children included), so the queue
-  // breathes across the engage/disengage thresholds instead of only
-  // draining monotonically.
+  auto scheduled = std::make_shared<std::uint64_t>(0);
+  // Each callback fans out into 0..2 children at a random future offset
+  // (same-time children included), so the queue grows and shrinks instead
+  // of only draining monotonically.
   struct Spawner {
     sim::Engine* eng;
     std::shared_ptr<Rng> rng;
-    std::shared_ptr<std::uint64_t> next_id;
-    std::vector<std::uint64_t>* order;
+    std::shared_ptr<std::uint64_t> scheduled;
     std::size_t target;
-    void fire(std::uint64_t id) const {
-      order->push_back(id);
-      if (*next_id >= target) return;
+    void fire() const {
+      if (*scheduled >= target) return;
       const std::uint64_t kids = rng->below(3);
-      for (std::uint64_t k = 0; k < kids && *next_id < target; ++k) {
-        const std::uint64_t child = (*next_id)++;
+      for (std::uint64_t k = 0; k < kids && *scheduled < target; ++k) {
+        ++*scheduled;
         auto self = *this;
-        eng->schedule(rng->below(512), [self, child] { self.fire(child); });
+        eng->schedule(rng->below(512), [self] { self.fire(); });
       }
     }
   };
-  Spawner sp{&eng, rng, next_id, &order, target};
+  Spawner sp{&eng, rng, scheduled, target};
   for (std::size_t i = 0; i < 4096; ++i) {
-    const std::uint64_t id = (*next_id)++;
-    eng.scheduleAt(rng->below(4096), [sp, id] { sp.fire(id); });
+    ++*scheduled;
+    eng.scheduleAt(rng->below(4096), [sp] { sp.fire(); });
   }
   eng.run();
-  return order;
 }
 
-TEST(MsgPlaneCalendar, PopOrderIdenticalToHeapTier) {
-  constexpr std::size_t kTarget = 50'000;
-  sim::Engine heap_only;
-  heap_only.setCalendarThreshold(0);  // calendar tier disabled
-  sim::Engine tiered;
-  tiered.setCalendarThreshold(512);  // force engage/disengage traffic
-  const auto a = popOrder(heap_only, 0xC0FFEE, kTarget);
-  const auto b = popOrder(tiered, 0xC0FFEE, kTarget);
-  ASSERT_EQ(heap_only.queueTier(), sim::Engine::QueueTier::Heap);
-  EXPECT_EQ(heap_only.calendarEngagements(), 0u);
-  EXPECT_GT(tiered.calendarEngagements(), 0u);  // the tier actually switched
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_TRUE(a == b) << "calendar tier reordered events";
-  EXPECT_EQ(heap_only.now(), tiered.now());
-  EXPECT_EQ(heap_only.processedEvents(), tiered.processedEvents());
-  EXPECT_GE(tiered.peakPending(), 512u);
-}
-
-TEST(MsgPlaneCalendar, DisengagesAfterDrain) {
+TEST(MsgPlaneAudit, InvariantsHoldEveryStep) {
   sim::Engine eng;
-  eng.setCalendarThreshold(256);
-  popOrder(eng, 7, 20'000);
-  // Fully drained: whatever tier we ended in, the queue is empty and a
-  // fresh small workload runs on the heap path again.
-  EXPECT_EQ(eng.pendingEvents(), 0u);
-  std::size_t fired = 0;
-  eng.scheduleAt(eng.now() + 5, [&fired] { ++fired; });
-  eng.run();
-  EXPECT_EQ(fired, 1u);
-}
-
-// ---- DKF_AUDIT invariant checker ----------------------------------------
-
-TEST(MsgPlaneAudit, InvariantsHoldAcrossTierSwitches) {
-  sim::Engine eng;
-  eng.setCalendarThreshold(512);
   eng.setAudit(true);
   ASSERT_TRUE(eng.auditEnabled());
-  // The audit runs after every step; a violated heap order, stale calendar
-  // bucket, leaked slot or duplicate seq throws CheckFailure mid-run.
-  EXPECT_NO_THROW(popOrder(eng, 0xAD17, 30'000));
-  EXPECT_GT(eng.calendarEngagements(), 0u);
+  // The audit runs after every step; a violated heap order, leaked slot or
+  // duplicate seq throws CheckFailure mid-run.
+  EXPECT_NO_THROW(runCascade(eng, 0xAD17, 30'000));
   EXPECT_NO_THROW(eng.auditInvariants());  // and on the drained queue
 }
 

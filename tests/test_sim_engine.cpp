@@ -30,16 +30,24 @@ namespace {
 
 TEST(EngineDeterminism, MatchesStableSortReference) {
   // Randomized schedules with heavy time collisions (times drawn from a
-  // tiny range) exercise every sift path; the reference order is a stable
-  // sort by time, which preserves insertion order on ties.
-  for (std::uint64_t seed : {1ull, 2ull, 3ull, 0xDEADull}) {
+  // small range) exercise every sift path; the reference order is a stable
+  // sort by time, which preserves insertion order on ties. The 40,000-event
+  // input keeps the whole schedule pending at once, above the 38,500-event
+  // peak of the flat 256-rank alltoallv in `scaling_nodes --smoke`.
+  struct Input {
+    std::uint64_t seed;
+    std::size_t events;
+    std::uint64_t distinct_times;
+  };
+  for (const Input& in : {Input{1, 500, 16}, Input{2, 500, 16},
+                          Input{3, 500, 16}, Input{0xDEAD, 500, 16},
+                          Input{0xB16, 40'000, 1024}}) {
     Engine eng;
-    Rng rng(seed);
-    const std::size_t n = 500;
+    Rng rng(in.seed);
     std::vector<std::pair<TimeNs, std::size_t>> ref;  // (time, id)
     std::vector<std::size_t> order;
-    for (std::size_t i = 0; i < n; ++i) {
-      const TimeNs t = rng.below(16);  // few distinct times: many ties
+    for (std::size_t i = 0; i < in.events; ++i) {
+      const TimeNs t = rng.below(in.distinct_times);  // many ties
       ref.emplace_back(t, i);
       eng.scheduleAt(t, [&order, i] { order.push_back(i); });
     }
@@ -47,10 +55,11 @@ TEST(EngineDeterminism, MatchesStableSortReference) {
                      [](const auto& a, const auto& b) {
                        return a.first < b.first;
                      });
+    EXPECT_EQ(eng.peakPending(), in.events);
     eng.run();
-    ASSERT_EQ(order.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(order[i], ref[i].second) << "seed " << seed << " pos " << i;
+    ASSERT_EQ(order.size(), in.events);
+    for (std::size_t i = 0; i < in.events; ++i) {
+      ASSERT_EQ(order[i], ref[i].second) << "seed " << in.seed << " pos " << i;
     }
   }
 }
