@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "ddt/layout.hpp"
 #include "hw/cluster.hpp"
 #include "schemes/fusion_engine.hpp"
 
@@ -77,8 +78,8 @@ ExchangeResult runBulkExchange(const ExchangeConfig& cfg) {
       region * static_cast<std::size_t>(cfg.n_ops) * 3 + (8u << 20);
   machine.node.gpu.arena_bytes = std::max(machine.node.gpu.arena_bytes, needed);
 
-  // Only two ranks participate; provision one GPU per node (two for the
-  // intra-node case) so arenas for unused GPUs are never allocated.
+  // Only two ranks take part, so provision one GPU per node (two for the
+  // intra-node case).
   machine.node.gpus_per_node = cfg.intra_node ? 2 : 1;
   hw::Cluster cluster(eng, machine, cfg.intra_node ? 1 : 2);
 
@@ -103,6 +104,11 @@ ExchangeResult runBulkExchange(const ExchangeConfig& cfg) {
   const int rank_b = 1;
 
   // Allocate and fill the exchange buffers once, outside the timed loop.
+  // A send carries only the layout's runs, so only those bytes are filled.
+  const ddt::Layout layout =
+      ddt::flatten(cfg.workload.type, cfg.workload.count);
+  DKF_CHECK(layout.minOffset() >= 0 &&
+            static_cast<std::size_t>(layout.endOffset()) <= region);
   std::array<RankState, 2> states;
   std::array<mpi::Proc*, 2> procs{&rt.proc(rank_a), &rt.proc(rank_b)};
   Rng rng(0xBEEF);
@@ -110,7 +116,10 @@ ExchangeResult runBulkExchange(const ExchangeConfig& cfg) {
     for (int i = 0; i < cfg.n_ops; ++i) {
       auto s = procs[side]->allocDevice(region);
       auto r = procs[side]->allocDevice(region);
-      for (auto& b : s.bytes) b = static_cast<std::byte>(rng.below(256));
+      layout.forEachRun([&](std::int64_t off, std::size_t len) {
+        for (auto& b : s.bytes.subspan(static_cast<std::size_t>(off), len))
+          b = static_cast<std::byte>(rng.below(256));
+      });
       states[side].send_bufs.push_back(s);
       states[side].recv_bufs.push_back(r);
     }

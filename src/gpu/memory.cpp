@@ -13,7 +13,12 @@ std::size_t roundUp(std::size_t v, std::size_t align) {
 }  // namespace
 
 DeviceMemory::DeviceMemory(std::size_t capacity, int device_id)
-    : arena_(capacity), device_id_(device_id) {
+    : arena_(static_cast<std::byte*>(std::calloc(capacity, 1))),
+      capacity_(capacity),
+      device_id_(device_id) {
+  DKF_CHECK_MSG(arena_ != nullptr, "device " << device_id_
+                                             << ": host cannot reserve a "
+                                             << capacity << "-byte arena");
   free_list_.push_back(FreeBlock{0, capacity});
 }
 
@@ -22,7 +27,7 @@ MemSpan DeviceMemory::allocate(std::size_t bytes, std::size_t align) {
   DKF_CHECK_MSG(span.size() == bytes,
                 "device " << device_id_ << " out of memory allocating "
                           << bytes << " bytes (in use: " << in_use_ << "/"
-                          << arena_.size() << ")");
+                          << capacity_ << ")");
   return span;
 }
 
@@ -56,7 +61,7 @@ MemSpan DeviceMemory::findFit(std::size_t bytes, std::size_t align) {
     }
     live_.emplace(aligned, bytes);
     in_use_ += bytes;
-    return MemSpan{std::span(arena_).subspan(aligned, bytes), MemSpace::Device,
+    return MemSpan{arena().subspan(aligned, bytes), MemSpace::Device,
                    device_id_};
   }
   return {};
@@ -65,9 +70,9 @@ MemSpan DeviceMemory::findFit(std::size_t bytes, std::size_t align) {
 std::size_t DeviceMemory::offsetOf(const MemSpan& span) const {
   DKF_CHECK_MSG(span.space == MemSpace::Device && span.device == device_id_,
                 "span does not belong to device " << device_id_);
-  const std::byte* base = arena_.data();
+  const std::byte* base = arena_.get();
   DKF_CHECK(span.bytes.data() >= base &&
-            span.bytes.data() + span.bytes.size() <= base + arena_.size());
+            span.bytes.data() + span.bytes.size() <= base + capacity_);
   return static_cast<std::size_t>(span.bytes.data() - base);
 }
 

@@ -6,13 +6,20 @@
 // with the memory space it lives in; the cost models dispatch on the tag
 // (host<->device copies cross the CPU-GPU link, device-local ones use HBM).
 //
+// An arena is `capacity` bytes (`GpuSpec::arena_bytes` in a cluster) of
+// calloc address space: it reads zero when fresh, the host commits a page
+// only when a run first writes it, and `capacity` is the simulated
+// out-of-memory point.
+//
 // The allocator is a first-fit free list with coalescing — enough to let
 // long benchmark runs allocate and release staging buffers without growing
 // the arena, and simple enough to verify exhaustively in tests.
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -71,19 +78,22 @@ class DeviceMemory {
   /// address; partial frees are not supported.
   void deallocate(const MemSpan& span);
 
-  std::size_t capacity() const { return arena_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::size_t bytesInUse() const { return in_use_; }
-  std::size_t bytesFree() const { return arena_.size() - in_use_; }
+  std::size_t bytesFree() const { return capacity_ - in_use_; }
   std::size_t liveAllocations() const { return live_.size(); }
   int deviceId() const { return device_id_; }
 
   /// The whole arena (for assertions and fabric copies).
-  std::span<std::byte> arena() { return arena_; }
+  std::span<std::byte> arena() { return {arena_.get(), capacity_}; }
 
  private:
   struct FreeBlock {
     std::size_t offset;
     std::size_t len;
+  };
+  struct FreeArena {
+    void operator()(std::byte* p) const { std::free(p); }
   };
 
   std::size_t offsetOf(const MemSpan& span) const;
@@ -91,7 +101,8 @@ class DeviceMemory {
   MemSpan findFit(std::size_t bytes, std::size_t align);
 
   fault::FaultPlan* faults_{nullptr};
-  std::vector<std::byte> arena_;
+  std::unique_ptr<std::byte, FreeArena> arena_;
+  std::size_t capacity_;
   std::vector<FreeBlock> free_list_;           // sorted by offset
   std::map<std::size_t, std::size_t> live_;    // offset -> padded length
   std::size_t in_use_{0};

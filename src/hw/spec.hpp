@@ -37,9 +37,11 @@ struct GpuSpec {
   std::size_t blocks_per_sm{2};  ///< resident thread blocks per SM for the
                                  ///< copy-bound kernels we model
   std::size_t memory_bytes{16ull << 30};
-  /// Backing-store size for the simulated HBM arena. The experiments'
-  /// working sets are tens of MiB, so the simulator does not reserve the
-  /// full 16 GB of host RAM per GPU; raise this for bigger workloads.
+  /// Size of the simulated HBM arena and its out-of-memory point. The arena
+  /// is host address space that reads zero and is committed only where a
+  /// run first writes it. The experiments' working sets are tens of MiB,
+  /// so it stays well below the 16 GB of `memory_bytes`; raise it for
+  /// bigger workloads.
   std::size_t arena_bytes{96ull << 20};
   BytesPerSecond hbm_bandwidth{GBps(900)};
 

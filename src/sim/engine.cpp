@@ -170,13 +170,21 @@ void Engine::auditInvariants() const {
                     << " slots");
 
   // Key uniqueness: (time, seq) is a total order, so no two queued events
-  // may share a seq.
-  std::vector<std::uint64_t> seqs;
-  seqs.reserve(heap_.size());
-  for (const EventKey& k : heap_) seqs.push_back(k.seq);
-  std::sort(seqs.begin(), seqs.end());
-  DKF_CHECK_MSG(std::adjacent_find(seqs.begin(), seqs.end()) == seqs.end(),
-                "duplicate event sequence number in the queue");
+  // may share a seq. Linear probing over seq + 1 (0 marks an empty cell) in
+  // a table at least twice the queue keeps the check O(n) per step.
+  int bits = 1;
+  while ((std::size_t{1} << bits) < 2 * heap_.size()) ++bits;
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  std::vector<std::uint64_t> table(mask + 1, 0);
+  for (const EventKey& k : heap_) {
+    std::size_t i = static_cast<std::size_t>(
+        (k.seq * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+    for (; table[i] != 0; i = (i + 1) & mask) {
+      DKF_CHECK_MSG(table[i] != k.seq + 1,
+                    "duplicate event sequence number in the queue");
+    }
+    table[i] = k.seq + 1;
+  }
 }
 
 // ------------------------------------------------------ detached tasks ----

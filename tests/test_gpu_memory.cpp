@@ -1,15 +1,31 @@
 // Device memory allocator: first-fit free list with coalescing, plus a
-// randomized stress property (no overlap, full reclamation).
+// randomized stress property (no overlap, full reclamation), and the arena
+// contract: a fresh arena reads zero and costs the host only what is written.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <optional>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "gpu/memory.hpp"
+#include "hw/spec.hpp"
 
 namespace dkf::gpu {
 namespace {
+
+/// Bytes of this process resident in RAM, from /proc/self/statm; nullopt
+/// where that file cannot be read.
+std::optional<std::int64_t> residentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t size_pages = 0, resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return std::nullopt;
+  return resident_pages * static_cast<std::int64_t>(::sysconf(_SC_PAGESIZE));
+}
 
 TEST(DeviceMemory, AllocateAndTrackUsage) {
   DeviceMemory mem(1024, 0);
@@ -40,6 +56,34 @@ TEST(DeviceMemory, ExhaustionThrows) {
   EXPECT_THROW(mem.allocate(100, 1), CheckFailure);
   mem.deallocate(a);
   EXPECT_NO_THROW(mem.allocate(256, 1));
+}
+
+TEST(DeviceMemory, FreshArenaReadsZero) {
+  DeviceMemory small(1 << 20, 0);
+  for (const std::byte b : small.arena()) ASSERT_EQ(b, std::byte{0});
+
+  DeviceMemory full(hw::GpuSpec{}.arena_bytes, 1);
+  const std::span<std::byte> arena = full.arena();
+  EXPECT_EQ(arena.front(), std::byte{0});
+  EXPECT_EQ(arena[arena.size() / 2], std::byte{0});
+  EXPECT_EQ(arena.back(), std::byte{0});
+}
+
+TEST(DeviceMemory, LargeArenaCommitsOnlyWhatIsWritten) {
+  const std::optional<std::int64_t> before = residentBytes();
+  if (!before) GTEST_SKIP() << "/proc/self/statm is not readable";
+  DeviceMemory mem(256u << 20, 0);
+  const std::int64_t constructed = *residentBytes();
+  EXPECT_LT(constructed - *before, std::int64_t{16} << 20)
+      << "constructing the arena committed its pages";
+
+  const MemSpan span = mem.allocate(8u << 20);
+  std::memset(span.bytes.data(), 0x5A, span.size());
+  const std::int64_t written = *residentBytes();
+  EXPECT_GE(written - constructed, std::int64_t{4} << 20)
+      << "writing 8 MiB did not commit its pages";
+  EXPECT_EQ(span.bytes[span.size() - 1], std::byte{0x5A});
+  mem.deallocate(span);
 }
 
 TEST(DeviceMemory, DoubleFreeThrows) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_util/parallel.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "ddt/datatype.hpp"
 #include "fault/fault_plan.hpp"
@@ -74,6 +75,23 @@ TEST(MsgPlaneAudit, InvariantsHoldEveryStep) {
   // duplicate seq throws CheckFailure mid-run.
   EXPECT_NO_THROW(runCascade(eng, 0xAD17, 30'000));
   EXPECT_NO_THROW(eng.auditInvariants());  // and on the drained queue
+}
+
+TEST(MsgPlaneAudit, DuplicateSeqThrows) {
+  sim::Engine eng;
+  eng.setAudit(true);
+  const std::uint64_t seq = eng.allocSeq();
+  eng.scheduleAtSeq(20, seq, [] {});
+  eng.scheduleAtSeq(30, seq, [] {});
+  eng.scheduleAt(10, [] {});  // the audit after this step sees both keys
+  try {
+    eng.run();
+    FAIL() << "a seq queued twice passed the audit";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate event sequence number"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(MsgPlaneAudit, EnvVarEnablesAtConstruction) {
