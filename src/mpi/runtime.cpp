@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "schemes/solver.hpp"
@@ -76,12 +77,20 @@ sim::Task<void> Proc::admitSend(const RequestPtr& req) {
     // launches: cross-tenant interference through the flush path.
     ++tenantState(req->tenant).throttle_waits;
     const TimeNs blocked_from = rt_->engine().now();
-    while (tenantState(req->tenant).inflight >= limit) {
-      co_await progressOnce();
+    const auto admitted = [&] {
+      return tenantState(req->tenant).inflight < limit;
+    };
+    DurationNs owed = 0;
+    while (!admitted()) {
+      co_await progressOnce(std::exchange(owed, 0));
       if (engine_->hasPendingFusedWork(req->tenant)) {
         co_await engine_->flush();
       }
-      co_await engine().delay(rt_->config().poll_interval);
+      co_await engine().poll(rt_->config().poll_interval, [&](TimeNs& horizon) {
+        if (admitted()) return sim::Poll::Resume;
+        return progressStep(owed, engine_->hasPendingFusedWork(req->tenant),
+                            horizon);
+      });
     }
     tenantState(req->tenant).throttled_ns +=
         rt_->engine().now() - blocked_from;
@@ -829,7 +838,19 @@ void Proc::fileDeadline(const RequestPtr& req) {
   std::push_heap(deadlines_.begin(), deadlines_.end(), laterDeadline);
 }
 
-sim::Task<void> Proc::progressPass() {
+bool Proc::passDue() const {
+  return !ticketed_.empty() || !dirty_.empty() ||
+         (!deadlines_.empty() && deadlines_.front().at <= rt_->engine().now());
+}
+
+bool Proc::slowPassDue() const {
+  // Every direct_retry request is marked dirty, so this sees each one.
+  return std::any_of(dirty_.begin(), dirty_.end(), [](const RequestPtr& r) {
+    return !r->complete && r->direct_retry;
+  });
+}
+
+void Proc::collectPass() {
   // Capture this pass's candidates up front: the ticket holders, the dirty
   // requests and the due deadlines. Marks and deadlines arriving mid-pass
   // (only possible across a DirectIPC suspension) wait for the next pass.
@@ -852,45 +873,50 @@ sim::Task<void> Proc::progressPass() {
       pass_scratch_.push_back(std::move(due.req));
     }
   }
-  // Every direct_retry request is marked dirty, so this sees each one.
-  const bool slow = std::any_of(
-      pass_scratch_.begin(), pass_scratch_.end(),
-      [](const RequestPtr& r) { return !r->complete && r->direct_retry; });
+}
 
-  if (slow) {
-    // A DirectIPC enqueue suspends, and flag flips arriving across the
-    // suspension must stay visible to requests advanced later in the same
-    // pass, so scan every active request in activation order. The scan
-    // walks a copy of active_ taken at entry: activations during the
-    // suspension wait a pass, and another waiter of this rank may run a
-    // whole pass (which sweeps active_) meanwhile. Completed entries
-    // return from advance() immediately and emit nothing.
-    const std::vector<RequestPtr> snapshot = active_;
-    for (const RequestPtr& req : snapshot) {
-      if (!advance(req)) {
-        req->direct_retry = false;
-        co_await tryDirect(req);
-      }
-    }
-  } else {
-    // Fast pass, fully synchronous: no suspension can interleave an
-    // event, so the candidate set is complete and no request's phase can
-    // move under the scan. Activation order keeps the emitted action
-    // stream identical to a full scan's: every skipped request is a no-op,
-    // since it holds no ticket, no event marked it and its deadline (if
-    // any) is not due. A request can be a candidate more than once.
-    std::sort(pass_scratch_.begin(), pass_scratch_.end(),
-              [](const RequestPtr& a, const RequestPtr& b) {
-                return a->progress_order < b->progress_order;
-              });
-    pass_scratch_.erase(
-        std::unique(pass_scratch_.begin(), pass_scratch_.end()),
-        pass_scratch_.end());
-    for (const RequestPtr& req : pass_scratch_) {
-      const bool fast = advance(req);
-      DKF_CHECK(fast);  // direct_retry would have forced the slow scan
+void Proc::fastPass() {
+  // Fully synchronous: no suspension can interleave an event, so the
+  // candidate set is complete and no request's phase can move under the
+  // scan. Activation order keeps the emitted action stream identical to a
+  // full scan's: every skipped request is a no-op, since it holds no
+  // ticket, no event marked it and its deadline (if any) is not due. A
+  // request can be a candidate more than once.
+  collectPass();
+  std::sort(pass_scratch_.begin(), pass_scratch_.end(),
+            [](const RequestPtr& a, const RequestPtr& b) {
+              return a->progress_order < b->progress_order;
+            });
+  pass_scratch_.erase(
+      std::unique(pass_scratch_.begin(), pass_scratch_.end()),
+      pass_scratch_.end());
+  for (const RequestPtr& req : pass_scratch_) {
+    const bool fast = advance(req);
+    DKF_CHECK(fast);  // direct_retry would have forced the slow scan
+  }
+  endPass();
+}
+
+sim::Task<void> Proc::slowPass() {
+  // A DirectIPC enqueue suspends, and flag flips arriving across the
+  // suspension must stay visible to requests advanced later in the same
+  // pass, so scan every active request in activation order. The scan
+  // walks a copy of active_ taken at entry: activations during the
+  // suspension wait a pass, and another waiter of this rank may run a
+  // whole pass (which sweeps active_) meanwhile. Completed entries return
+  // from advance() immediately and emit nothing.
+  collectPass();
+  const std::vector<RequestPtr> snapshot = active_;
+  for (const RequestPtr& req : snapshot) {
+    if (!advance(req)) {
+      req->direct_retry = false;
+      co_await tryDirect(req);
     }
   }
+  endPass();
+}
+
+void Proc::endPass() {
   pass_scratch_.clear();
   std::erase_if(ticketed_, [](const RequestPtr& r) {
     const bool keep = !r->complete && r->ticket.valid();
@@ -901,17 +927,42 @@ sim::Task<void> Proc::progressPass() {
   sweep_watermark_ = std::max<std::size_t>(64, active_.size() * 2);
 }
 
-sim::Task<void> Proc::progressOnce() {
-  co_await engine_->progress();
+sim::Task<void> Proc::progressOnce(DurationNs owed) {
+  owed += engine_->progress();
+  if (owed > 0) co_await cpu_->busy(owed);
   // Change-driven: steady-state requests complete inside fabric/engine
   // handlers; a pass only runs while some request holds a live ticket, an
   // event enabled an action since the last poll, or an armed
   // retransmission deadline has come due. Any other poll costs O(1),
   // however many deadlines are armed.
-  if (!ticketed_.empty() || !dirty_.empty() ||
-      (!deadlines_.empty() && deadlines_.front().at <= rt_->engine().now())) {
-    co_await progressPass();
+  if (slowPassDue()) {
+    co_await slowPass();
+  } else if (passDue()) {
+    fastPass();
   }
+}
+
+sim::Poll Proc::progressStep(DurationNs& owed, bool flush,
+                             TimeNs& horizon) {
+  // A poll that suspends runs in the waiting coroutine, at this instant:
+  // the DirectIPC retry's slow pass, a flush that launches, and the CPU
+  // time GPU-Async's deferred queries cost.
+  if (slowPassDue() || (flush && engine_->flushPending())) {
+    return sim::Poll::Resume;
+  }
+  owed = engine_->progress();
+  if (owed > 0) return sim::Poll::Resume;
+  if (!passDue()) {
+    // Only an event, or the earliest filed deadline falling due, can give
+    // the next poll a pass to run.
+    if (!deadlines_.empty()) horizon = deadlines_.front().at;
+    return sim::Poll::Quiet;
+  }
+  fastPass();
+  if (flush) engine_->foldBreakdown();  // flush() with nothing to launch
+  // Again even with no ticket left: the pass acted, and another waiter of
+  // this rank may see its effects.
+  return sim::Poll::Again;
 }
 
 sim::Task<void> Proc::wait(RequestPtr req) {
@@ -925,20 +976,32 @@ sim::Task<void> Proc::waitall(std::vector<RequestPtr> reqs) {
   // poll left off instead of rescanning the completed prefix every poll —
   // O(n + polls) amortized instead of O(n * polls) on deep windows.
   std::size_t cursor = 0;
-  while (true) {
-    co_await progressOnce();
+  const auto all_complete = [&] {
+    while (cursor < reqs.size() && reqs[cursor]->complete) ++cursor;
+    return cursor == reqs.size();
+  };
+  // Each poll is progressOnce + flush + the completion check. The engine
+  // runs the ones that need not suspend inside their poll ticks; a Resume
+  // from progressStep hands the whole poll back to this coroutine.
+  bool complete = false;
+  DurationNs owed = 0;
+  const auto step = [&](TimeNs& horizon) {
+    const sim::Poll poll = progressStep(owed, /*flush=*/true, horizon);
+    if (poll == sim::Poll::Resume) return poll;
+    complete = all_complete();
+    return complete ? sim::Poll::Resume : poll;
+  };
+  while (!complete) {
+    co_await progressOnce(std::exchange(owed, 0));
     // Launch scenario 1 (§IV-C): the progress engine is out of work and
     // blocked at a synchronization point — flush batched operations now.
     co_await engine_->flush();
-    while (cursor < reqs.size() && reqs[cursor]->complete) ++cursor;
-    if (cursor == reqs.size()) {
-      // Persistent requests become inactive (restartable) once waited.
-      for (const RequestPtr& r : reqs) {
-        if (r->persistent) r->active = false;
-      }
-      co_return;
-    }
-    co_await engine().delay(rt_->config().poll_interval);
+    if (all_complete()) break;
+    co_await engine().poll(rt_->config().poll_interval, step);
+  }
+  // Persistent requests become inactive (restartable) once waited.
+  for (const RequestPtr& r : reqs) {
+    if (r->persistent) r->active = false;
   }
 }
 
@@ -967,10 +1030,7 @@ sim::Task<void> Proc::pack(gpu::MemSpan origin, ddt::DatatypePtr type,
   engine_->setActiveTenant(current_tenant_);
   const auto t = co_await engine_->submitPlanStep(*plan, 0, layout, nullptr,
                                                   origin, packed);
-  while (!engine_->done(t)) {
-    co_await engine_->flush();
-    co_await engine().delay(rt_->config().poll_interval);
-  }
+  co_await waitTicket(t);
 }
 
 sim::Task<void> Proc::unpack(gpu::MemSpan packed, gpu::MemSpan origin,
@@ -983,9 +1043,21 @@ sim::Task<void> Proc::unpack(gpu::MemSpan packed, gpu::MemSpan origin,
   engine_->setActiveTenant(current_tenant_);
   const auto t = co_await engine_->submitPlanStep(*plan, 0, layout, nullptr,
                                                   packed, origin);
-  while (!engine_->done(t)) {
+  co_await waitTicket(t);
+}
+
+sim::Task<void> Proc::waitTicket(schemes::Ticket t) {
+  // Each poll queries the ticket (a cost the engine books), then flushes.
+  // Only a flush that launches needs this coroutine.
+  bool done = engine_->done(t);
+  while (!done) {
     co_await engine_->flush();
-    co_await engine().delay(rt_->config().poll_interval);
+    co_await engine().poll(rt_->config().poll_interval, [&](TimeNs&) {
+      done = engine_->done(t);
+      if (done || engine_->flushPending()) return sim::Poll::Resume;
+      engine_->foldBreakdown();  // flush() with nothing to launch
+      return sim::Poll::Again;
+    });
   }
 }
 
@@ -1011,6 +1083,15 @@ sim::Task<void> Proc::barrier(std::size_t participants) {
 
 Runtime::Runtime(hw::Cluster& cluster, RuntimeConfig config)
     : cluster_(&cluster), config_(config) {
+  // Either value at zero spins at one virtual instant: every wait re-polls
+  // without time advancing (so the watchdog never trips), or every pass
+  // re-sends until the retry limit blames the transport.
+  DKF_CHECK_MSG(config_.poll_interval > 0,
+                "RuntimeConfig::poll_interval must be positive");
+  DKF_CHECK_MSG(!config_.reliability.enabled ||
+                    config_.reliability.base_timeout > 0,
+                "ReliabilityConfig::base_timeout must be positive when "
+                "reliability is on");
   cluster.fabric().setBatchWindow(config_.msg_batch_window);
   if (config_.contention.enabled) {
     cluster.fabric().setContention(config_.contention);

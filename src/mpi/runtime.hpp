@@ -259,16 +259,34 @@ class Proc {
   /// Attempt the DirectIPC enqueue; re-arms direct_retry if the list is full.
   sim::Task<void> tryDirect(RequestPtr recv);
 
-  /// One pass of the progress engine.
-  sim::Task<void> progressOnce();
-  /// One pass over the requests that can actually act: the DDT-ticket
+  /// One poll of the progress engine: spend `owed` plus what the DDT
+  /// engine's progress() owes on the CPU, then run a pass if one is due.
+  sim::Task<void> progressOnce(DurationNs owed = 0);
+  /// The same poll, run inside a poll tick (sim::Engine::poll) without a
+  /// coroutine, followed by the fold of a flush that launches nothing when
+  /// `flush` is set. Answers Resume, having run no pass, when the poll must
+  /// suspend (a DirectIPC retry, a launching flush, or CPU time the DDT
+  /// engine owes, left in `owed`): the waiting coroutine then runs it with
+  /// progressOnce at the same instant. Answers Quiet when no pass was due,
+  /// with `horizon` at the earliest filed deadline, and Again after a pass.
+  sim::Poll progressStep(DurationNs& owed, bool flush, TimeNs& horizon);
+  /// Some request holds a ticket, is dirty or has a due deadline.
+  bool passDue() const;
+  /// A DirectIPC enqueue retry is pending: the next pass is the slow scan.
+  bool slowPassDue() const;
+  /// Passes over the requests that can actually act: the DDT-ticket
   /// holders, the requests an event marked dirty since the last pass and
-  /// the requests whose retransmission deadline is due, advanced in
-  /// activation order. Falls back to a full scan of a snapshot of the
-  /// active list whenever a DirectIPC retry is pending, because that path
-  /// suspends and flag flips arriving across the suspension must stay
-  /// visible to later requests in the same pass.
-  sim::Task<void> progressPass();
+  /// the requests whose retransmission deadline is due (collectPass),
+  /// advanced in activation order. slowPass instead scans a snapshot of
+  /// the whole active list, because its DirectIPC enqueue suspends and
+  /// flag flips arriving across the suspension must stay visible to later
+  /// requests in the same pass. endPass retires what the pass finished.
+  void collectPass();
+  void fastPass();
+  sim::Task<void> slowPass();
+  void endPass();
+  /// Block until the DDT engine reports `t` done (explicit pack/unpack).
+  sim::Task<void> waitTicket(schemes::Ticket t);
   /// Register a freshly activated request with the progress plane
   /// (activation order, active list, amortized sweep of completed entries).
   void registerActive(const RequestPtr& req);

@@ -62,6 +62,4 @@ sim::Task<Ticket> AdaptiveGdrEngine::submitUnpack(ddt::LayoutPtr layout,
 
 bool AdaptiveGdrEngine::done(const Ticket& t) { return inner_.done(t); }
 
-sim::Task<void> AdaptiveGdrEngine::progress() { co_return; }
-
 }  // namespace dkf::schemes

@@ -25,7 +25,6 @@ class AdaptiveGdrEngine final : public DdtEngine {
   sim::Task<Ticket> submitUnpack(ddt::LayoutPtr layout, gpu::MemSpan packed,
                                  gpu::MemSpan origin) override;
   bool done(const Ticket& t) override;
-  sim::Task<void> progress() override;
 
  private:
   void traceRoute(const ddt::Layout& layout, const char* what);

@@ -78,6 +78,4 @@ bool CpuGpuHybridEngine::done(const Ticket& t) {
   return t.valid();  // both paths complete before returning
 }
 
-sim::Task<void> CpuGpuHybridEngine::progress() { co_return; }
-
 }  // namespace dkf::schemes

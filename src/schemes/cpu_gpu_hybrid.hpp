@@ -43,7 +43,6 @@ class CpuGpuHybridEngine final : public DdtEngine {
   sim::Task<Ticket> submitUnpack(ddt::LayoutPtr layout, gpu::MemSpan packed,
                                  gpu::MemSpan origin) override;
   bool done(const Ticket& t) override;
-  sim::Task<void> progress() override;
 
   /// True if this layout takes the CPU (GDRCopy) path on this machine.
   bool usesCpuPath(const ddt::Layout& layout) const;

@@ -95,12 +95,26 @@ class DdtEngine {
   /// Querying an already-retired ticket returns true.
   virtual bool done(const Ticket& t) = 0;
 
-  /// Advance internal machinery (query events, poll response statuses).
-  /// Called from the runtime's progress loop.
-  virtual sim::Task<void> progress() = 0;
+  /// Advance internal machinery from the runtime's progress loop. Never
+  /// suspends: folds internal cost counters into breakdown() and returns
+  /// the CPU time the caller must spend now. Only GPU-Async owes any: the
+  /// cudaEventQuery calls its done() deferred.
+  virtual DurationNs progress() {
+    foldBreakdown();
+    return 0;
+  }
+
+  /// Fold internal cost counters (a fusion scheduler's) into breakdown().
+  /// progress() and flush() end with it; a poll whose flush would launch
+  /// nothing calls it in place of flush().
+  virtual void foldBreakdown() {}
+
+  /// Would flush() launch anything? When not, flush() only folds.
+  virtual bool flushPending() const { return false; }
 
   /// The runtime is entering a wait with no further submissions pending —
-  /// launch/flush anything batched (fusion launch scenario 1, §IV-C).
+  /// launch/flush anything batched (fusion launch scenario 1, §IV-C), then
+  /// fold.
   virtual sim::Task<void> flush();
 
   /// True if `tenant` has batched work sitting unlaunched inside the

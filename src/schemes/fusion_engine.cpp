@@ -102,20 +102,14 @@ bool FusionEngine::done(const Ticket& t) {
   return scheduler_.query(t.id);
 }
 
-sim::Task<void> FusionEngine::progress() {
-  // Completion is GPU-signalled into the request list; nothing to poll
-  // beyond the per-query cost already charged in done(). Fold the
-  // scheduler's cost counters into this engine's breakdown so callers see
-  // a single up-to-date view.
+void FusionEngine::foldBreakdown() {
   breakdown_ += scheduler_.breakdown();
   scheduler_.breakdown().reset();
-  co_return;
 }
 
 sim::Task<void> FusionEngine::flush() {
   co_await scheduler_.flush();
-  breakdown_ += scheduler_.breakdown();
-  scheduler_.breakdown().reset();
+  foldBreakdown();
 }
 
 }  // namespace dkf::schemes

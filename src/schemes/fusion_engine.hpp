@@ -51,7 +51,13 @@ class FusionEngine final : public DdtEngine {
                                    gpu::MemSpan origin,
                                    gpu::MemSpan target) override;
   bool done(const Ticket& t) override;
-  sim::Task<void> progress() override;
+  /// Folds the scheduler's costs. Completion is GPU-signalled into the
+  /// request list, so the base progress(), which only folds, is enough:
+  /// done() charges each query to the scheduler.
+  void foldBreakdown() override;
+  bool flushPending() const override {
+    return scheduler_.requests().pendingCount() > 0;
+  }
   sim::Task<void> flush() override;
   bool hasPendingFusedWork(TenantId tenant) const override {
     return scheduler_.requests().hasPendingFor(tenant);

@@ -1,5 +1,7 @@
 #include "schemes/gpu_async.hpp"
 
+#include <utility>
+
 namespace dkf::schemes {
 
 namespace {
@@ -83,7 +85,7 @@ bool GpuAsyncEngine::done(const Ticket& t) {
   auto it = events_.find(t.id);
   if (it == events_.end()) return true;  // already retired
   // Every completion check is a cudaEventQuery driver call; its CPU time
-  // is paid at the next progress() pass (done() itself must stay
+  // is owed at the next progress() pass (done() itself must stay
   // non-blocking). These repeated queries are the extra synchronization
   // penalty the paper blames for GPU-Async losing to GPU-Sync when the
   // kernels are too short to hide driver overhead (§V-B).
@@ -93,12 +95,10 @@ bool GpuAsyncEngine::done(const Ticket& t) {
   return true;
 }
 
-sim::Task<void> GpuAsyncEngine::progress() {
-  if (deferred_query_cost_ == 0) co_return;
-  const DurationNs cost = deferred_query_cost_;
-  deferred_query_cost_ = 0;
-  co_await cpu_->busy(cost);
-  breakdown_.synchronize += cost;
+DurationNs GpuAsyncEngine::progress() {
+  // The caller spends the deferred queries on its CPU timeline.
+  breakdown_.synchronize += deferred_query_cost_;
+  return std::exchange(deferred_query_cost_, 0);
 }
 
 }  // namespace dkf::schemes

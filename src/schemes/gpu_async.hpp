@@ -29,7 +29,7 @@ class GpuAsyncEngine final : public DdtEngine {
   sim::Task<Ticket> submitUnpack(ddt::LayoutPtr layout, gpu::MemSpan packed,
                                  gpu::MemSpan origin) override;
   bool done(const Ticket& t) override;
-  sim::Task<void> progress() override;
+  DurationNs progress() override;
 
   std::size_t outstanding() const { return events_.size(); }
 
@@ -44,7 +44,7 @@ class GpuAsyncEngine final : public DdtEngine {
   std::unordered_map<std::int64_t, gpu::Gpu::EventId> events_;
   std::int64_t next_id_{0};
   DurationNs deferred_query_cost_{0};  ///< cudaEventQuery calls issued by
-                                       ///< done(); paid at the next
+                                       ///< done(); owed at the next
                                        ///< progress() pass
 };
 

@@ -67,6 +67,4 @@ bool GpuSyncEngine::done(const Ticket& t) {
   return t.valid();  // submissions block until complete
 }
 
-sim::Task<void> GpuSyncEngine::progress() { co_return; }
-
 }  // namespace dkf::schemes

@@ -23,7 +23,6 @@ class GpuSyncEngine final : public DdtEngine {
   sim::Task<Ticket> submitUnpack(ddt::LayoutPtr layout, gpu::MemSpan packed,
                                  gpu::MemSpan origin) override;
   bool done(const Ticket& t) override;
-  sim::Task<void> progress() override;
 
  private:
   sim::Task<Ticket> runOne(gpu::Gpu::Op op);

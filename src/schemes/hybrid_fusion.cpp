@@ -103,16 +103,15 @@ bool HybridFusionEngine::done(const Ticket& t) {
   return fusion_path_.done(t);
 }
 
-sim::Task<void> HybridFusionEngine::progress() {
-  co_await fusion_path_.progress();
+void HybridFusionEngine::foldBreakdown() {
+  fusion_path_.foldBreakdown();
   breakdown_ += fusion_path_.breakdown();
   fusion_path_.breakdown().reset();
 }
 
 sim::Task<void> HybridFusionEngine::flush() {
   co_await fusion_path_.flush();
-  breakdown_ += fusion_path_.breakdown();
-  fusion_path_.breakdown().reset();
+  foldBreakdown();
 }
 
 }  // namespace dkf::schemes

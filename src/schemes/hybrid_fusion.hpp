@@ -39,7 +39,8 @@ class HybridFusionEngine final : public DdtEngine {
                                  ddt::LayoutPtr dst_layout,
                                  gpu::MemSpan dst) override;
   bool done(const Ticket& t) override;
-  sim::Task<void> progress() override;
+  void foldBreakdown() override;
+  bool flushPending() const override { return fusion_path_.flushPending(); }
   sim::Task<void> flush() override;
 
   std::size_t cpuPathOps() const { return cpu_path_.cpuPathOps(); }

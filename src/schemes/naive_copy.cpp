@@ -68,6 +68,4 @@ sim::Task<Ticket> NaiveCopyEngine::submitUnpack(ddt::LayoutPtr layout,
 
 bool NaiveCopyEngine::done(const Ticket& t) { return t.valid(); }
 
-sim::Task<void> NaiveCopyEngine::progress() { co_return; }
-
 }  // namespace dkf::schemes

@@ -30,7 +30,6 @@ class NaiveCopyEngine final : public DdtEngine {
   sim::Task<Ticket> submitUnpack(ddt::LayoutPtr layout, gpu::MemSpan packed,
                                  gpu::MemSpan origin) override;
   bool done(const Ticket& t) override;
-  sim::Task<void> progress() override;
 
   std::size_t copyCallsIssued() const { return copy_calls_; }
 

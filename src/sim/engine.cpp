@@ -36,7 +36,7 @@ std::uint32_t Engine::allocSlot(Callback cb) {
 void Engine::pushKey(const EventKey& key) {
   heap_.push_back(key);
   siftUp(heap_.size() - 1);
-  peak_pending_ = std::max(peak_pending_, heap_.size());
+  notePending();
 }
 
 void Engine::scheduleAt(TimeNs t, Callback cb) {
@@ -92,33 +92,117 @@ Engine::EventKey Engine::heapPop() {
   return top;
 }
 
+// -------------------------------------------------------------- pollers ----
+
+void Engine::park(Poller& p) {
+  DKF_CHECK_MSG(p.interval > 0, "poll interval must be positive");
+  insertPoller(PollKey{now_ + p.interval, seq_++, &p});
+}
+
+void Engine::insertPoller(const PollKey& key) {
+  if (poll_count_ == pollers_.size()) {
+    // Full: unroll into a ring twice the size. It only grows when more
+    // pollers are parked at once than ever before.
+    std::vector<PollKey> grown(std::max<std::size_t>(8, 2 * pollers_.size()));
+    for (std::size_t i = 0; i < poll_count_; ++i) grown[i] = pollerAt(i);
+    pollers_ = std::move(grown);
+    poll_head_ = 0;
+  }
+  std::size_t i = poll_count_++;
+  for (; i > 0 && before(key, pollerAt(i - 1)); --i) {
+    pollerAt(i) = pollerAt(i - 1);
+  }
+  pollerAt(i) = key;
+  notePending();
+}
+
+void Engine::tickPoller() {
+  const PollKey head = nextPoller();
+  Poller& p = *head.poller;
+  if (p.quiet_epoch == epoch_ && head.time < p.horizon) {
+    // Nothing ran since the step answered Quiet and its horizon is still
+    // ahead, so the step would answer Quiet again: take the tick's seq and
+    // move on without a call, as the delay loop's no-op poll would.
+    if (audit_) auditRekey(p);
+    popPoller();
+    insertPoller(PollKey{head.time + p.interval, seq_++, &p});
+    return;
+  }
+  // Out of the queue while its step runs, as a popped delay event would be.
+  popPoller();
+  TimeNs horizon = kNoHorizon;
+  Poll answer = Poll::Resume;
+  try {
+    answer = p.run(p, horizon);
+  } catch (...) {
+    p.error = std::current_exception();  // rethrown in the waiter
+  }
+  if (answer == Poll::Resume) {
+    ++epoch_;
+    p.waiter.resume();
+    return;
+  }
+  if (answer == Poll::Quiet) {
+    p.quiet_epoch = epoch_;
+    p.horizon = horizon;
+  } else {
+    ++epoch_;
+    p.quiet_epoch = kNoEpoch;
+  }
+  insertPoller(PollKey{now_ + p.interval, seq_++, &p});
+}
+
+void Engine::auditRekey(Poller& p) {
+  const std::uint64_t seq_before = seq_;
+  TimeNs horizon = kNoHorizon;
+  const Poll answer = p.run(p, horizon);
+  DKF_CHECK_MSG(answer == Poll::Quiet && horizon == p.horizon &&
+                    seq_ == seq_before,
+                "re-keyed a poller whose step is not quiet at t="
+                    << now_ << ": it answered "
+                    << (answer == Poll::Resume  ? "Resume"
+                        : answer == Poll::Again ? "Again"
+                                                : "Quiet")
+                    << " with horizon " << horizon << " (Quiet promised "
+                    << p.horizon << ") and took " << seq_ - seq_before
+                    << " seq(s)");
+}
+
 // ------------------------------------------------------------- stepping ----
 
 bool Engine::step() {
-  drainFinished();
-  if (empty()) return false;
+  if (!finished_.empty()) drainFinished();
+  const bool poller_next =
+      parkedPollers() != 0 &&
+      (heap_.empty() || before(nextPoller(), heap_.front()));
+  if (!poller_next && heap_.empty()) return false;
+  const TimeNs t = poller_next ? nextPoller().time : heap_.front().time;
   // Watchdog fires *before* the offending event is removed: the dump below
-  // describes an intact queue (the event at `top.time` is still its head),
-  // so post-mortem inspection sees exactly the state that tripped it.
-  const EventKey& top = heap_.front();
+  // describes an intact queue (the event at `t` is still its head), so
+  // post-mortem inspection sees exactly the state that tripped it.
   DKF_CHECK_MSG(
-      !watchdog_armed_ || top.time <= watchdog_deadline_,
-      "sim watchdog tripped: next event at t=" << top.time
+      !watchdog_armed_ || t <= watchdog_deadline_,
+      "sim watchdog tripped: next event at t=" << t
           << " ns exceeds the liveness deadline " << watchdog_deadline_
           << " ns (now=" << now_ << " ns, processed=" << processed_
-          << " events, pending=" << heap_.size()
+          << " events, pending=" << pendingEvents()
           << ", suspended tasks=" << live_tasks_
           << "; queue left intact, offending event still at the head) "
              "— a lost control packet or un-acked transfer is likely "
              "spinning a progress loop");
-  const EventKey key = heapPop();
-  Callback cb = std::move(slots_[key.slot]);
-  free_slots_.push_back(key.slot);
-  now_ = key.time;
+  now_ = t;
   ++processed_;
-  cb();
+  if (poller_next) {
+    tickPoller();
+  } else {
+    const EventKey key = heapPop();
+    Callback cb = std::move(slots_[key.slot]);
+    free_slots_.push_back(key.slot);
+    ++epoch_;
+    cb();
+  }
   if (audit_) auditInvariants();
-  drainFinished();
+  if (!finished_.empty()) drainFinished();
   return true;
 }
 
@@ -129,7 +213,10 @@ std::size_t Engine::run(std::size_t max_events) {
 }
 
 void Engine::runUntil(TimeNs t) {
-  while (!empty() && heap_.front().time <= t) step();
+  while ((!heap_.empty() && heap_.front().time <= t) ||
+         (parkedPollers() != 0 && nextPoller().time <= t)) {
+    step();
+  }
   drainFinished();
   now_ = std::max(now_, t);
 }
@@ -169,28 +256,43 @@ void Engine::auditInvariants() const {
                     << free_slots_.size() << " free != " << slots_.size()
                     << " slots");
 
+  // Parked pollers: sorted, nothing in the past, issued seqs.
+  for (std::size_t i = 0; i < poll_count_; ++i) {
+    const PollKey& k = pollerAt(i);
+    DKF_CHECK_MSG(i == 0 || before(pollerAt(i - 1), k),
+                  "poller queue order violated at index " << i);
+    DKF_CHECK_MSG(k.time >= now_, "parked poller in the past: t=" << k.time
+                                      << " now=" << now_);
+    DKF_CHECK_MSG(k.seq < seq_, "parked poller with unissued seq " << k.seq);
+  }
+
   // Key uniqueness: (time, seq) is a total order, so no two queued events
-  // may share a seq. Linear probing over seq + 1 (0 marks an empty cell) in
-  // a table at least twice the queue keeps the check O(n) per step.
+  // or parked pollers may share a seq. Linear probing over seq + 1 (0 marks
+  // an empty cell) in a table at least twice their number keeps the check
+  // O(n) per step.
+  const std::size_t keys = pendingEvents();
   int bits = 1;
-  while ((std::size_t{1} << bits) < 2 * heap_.size()) ++bits;
+  while ((std::size_t{1} << bits) < 2 * keys) ++bits;
   const std::size_t mask = (std::size_t{1} << bits) - 1;
   std::vector<std::uint64_t> table(mask + 1, 0);
-  for (const EventKey& k : heap_) {
+  const auto insert = [&](std::uint64_t seq) {
     std::size_t i = static_cast<std::size_t>(
-        (k.seq * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+        (seq * 0x9E3779B97F4A7C15ull) >> (64 - bits));
     for (; table[i] != 0; i = (i + 1) & mask) {
-      DKF_CHECK_MSG(table[i] != k.seq + 1,
+      DKF_CHECK_MSG(table[i] != seq + 1,
                     "duplicate event sequence number in the queue");
     }
-    table[i] = k.seq + 1;
-  }
+    table[i] = seq + 1;
+  };
+  for (const EventKey& k : heap_) insert(k.seq);
+  for (std::size_t i = 0; i < poll_count_; ++i) insert(pollerAt(i).seq);
 }
 
 // ------------------------------------------------------ detached tasks ----
 
 void Engine::spawn(Task<void> task) {
   DKF_CHECK(task.valid());
+  ++epoch_;  // the task's first leg runs now, maybe outside any dispatch
   task.start();
   if (task.done()) {
     task.rethrowIfFailed();

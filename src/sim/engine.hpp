@@ -24,9 +24,18 @@
 // the key is the one the event would have carried anyway, lazily-armed
 // events interleave with everything else exactly as if each had been
 // scheduled eagerly — the engine queue just stays small.
+//
+// Pollers: a coroutine blocked in `co_await poll(interval, step)` parks in
+// a second queue on the same (time, seq) keys, and the engine runs `step`
+// inside each poll tick instead of resuming the coroutine. A poller whose
+// step answered Quiet is re-keyed on later ticks without a call until
+// another dispatch runs or its horizon passes (MODEL.md §10).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <exception>
+#include <limits>
 #include <vector>
 
 #include "common/units.hpp"
@@ -34,6 +43,17 @@
 #include "sim/task.hpp"
 
 namespace dkf::sim {
+
+/// A poll step's answer (see Engine::poll).
+enum class Poll : std::uint8_t {
+  Resume,  ///< wake the waiting coroutine, inside this tick's event
+  Again,   ///< stay parked and run the step again next tick
+  Quiet,   ///< stay parked: until another dispatch runs or the horizon
+           ///< passes, the next step would do nothing
+};
+
+/// The horizon of a Quiet step that names none: no time bounds it.
+inline constexpr TimeNs kNoHorizon = std::numeric_limits<TimeNs>::max();
 
 class Engine {
  public:
@@ -74,8 +94,10 @@ class Engine {
   /// Run events with time <= t, then set now() = t.
   void runUntil(TimeNs t);
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t pendingEvents() const { return heap_.size(); }
+  /// Queued events and parked pollers each count as one pending event; a
+  /// poll tick counts as one processed event whether or not its step ran.
+  bool empty() const { return heap_.empty() && parkedPollers() == 0; }
+  std::size_t pendingEvents() const { return heap_.size() + parkedPollers(); }
   std::size_t processedEvents() const { return processed_; }
 
   /// High-water mark of the pending-event set over the engine's lifetime.
@@ -96,9 +118,9 @@ class Engine {
   void clearWatchdog() { watchdog_armed_ = false; }
   bool watchdogArmed() const { return watchdog_armed_; }
 
-  /// Structural invariant audit of the event queue: heap ordering,
-  /// slot-pool consistency (no dangling, no double-free, every slot
-  /// accounted), key uniqueness, no event in the past. Throws
+  /// Structural invariant audit of the event queue: heap ordering, poller
+  /// order, slot-pool consistency (no dangling, no double-free, every slot
+  /// accounted), key uniqueness, nothing in the past. Throws
   /// CheckFailure on violation. Runs automatically after every step while
   /// auditing is enabled (setAudit(true) or environment DKF_AUDIT=1) —
   /// O(pending) per step, so test/debug only.
@@ -136,6 +158,42 @@ class Engine {
   /// (after already-queued events at this time).
   auto yield() { return delay(0); }
 
+  /// Awaitable: park the current coroutine as a *poller* that ticks every
+  /// `interval` ns, first at now() + interval. Each tick is one event,
+  /// keyed (time, seq) exactly like the `delay(interval)` a polling loop
+  /// would schedule after each poll, and runs `step(horizon)` inside it
+  /// (`horizon` preset to kNoHorizon):
+  ///  - Resume wakes the coroutine in that event;
+  ///  - Again keeps it parked for the next tick;
+  ///  - Quiet keeps it parked and promises that, until another dispatch
+  ///    runs or virtual time reaches `horizon`, the next step would answer
+  ///    Quiet again and change nothing. The engine then re-keys the later
+  ///    ticks (next seq, t + interval) without calling the step.
+  /// Virtual time, event order and processedEvents() are those of the
+  /// `delay` loop. An exception thrown by `step` is rethrown from the
+  /// co_await. The step and its captures live in the awaiting frame.
+  template <class Step>
+  auto poll(DurationNs interval, Step step) {
+    struct Awaiter : Poller {
+      Engine& eng;
+      Step fn;
+      Awaiter(Engine& e, DurationNs every, Step&& s)
+          : Poller{every, &Awaiter::call}, eng(e), fn(std::move(s)) {}
+      static Poll call(Poller& p, TimeNs& horizon) {
+        return static_cast<Awaiter&>(p).fn(horizon);
+      }
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        waiter = h;
+        eng.park(*this);
+      }
+      void await_resume() const {
+        if (error) std::rethrow_exception(error);
+      }
+    };
+    return Awaiter{*this, interval, std::move(step)};
+  }
+
  private:
   /// Queue element: ordering key plus the index of the callback's pool
   /// slot. Heap sifts touch 24 bytes; the callback itself never moves
@@ -146,17 +204,66 @@ class Engine {
     std::uint32_t slot;
   };
 
-  static bool before(const EventKey& a, const EventKey& b) {
+  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+
+  /// A parked poll loop: the state poll()'s awaiter keeps in the waiting
+  /// coroutine's frame, where it stays put while parked.
+  struct Poller {
+    DurationNs interval;
+    Poll (*run)(Poller&, TimeNs& horizon);  // calls the awaiter's step
+    std::coroutine_handle<> waiter{};
+    /// Epoch of the last Quiet answer (kNoEpoch after any other), and the
+    /// horizon it named.
+    std::uint64_t quiet_epoch{kNoEpoch};
+    TimeNs horizon{0};
+    std::exception_ptr error{};
+  };
+
+  /// Poller-queue element: the same (time, seq) key as an event.
+  struct PollKey {
+    TimeNs time;
+    std::uint64_t seq;
+    Poller* poller;
+  };
+
+  template <class A, class B>
+  static bool before(const A& a, const B& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
 
   std::uint32_t allocSlot(Callback cb);
   void pushKey(const EventKey& key);
+  void notePending() {
+    peak_pending_ = std::max(peak_pending_, pendingEvents());
+  }
 
   void siftUp(std::size_t i);
   void siftDown(std::size_t i);
   EventKey heapPop();
+
+  /// Park `p` for its first tick (poll()'s await_suspend).
+  void park(Poller& p);
+  std::size_t parkedPollers() const { return poll_count_; }
+  /// The i-th parked poller in (time, seq) order.
+  PollKey& pollerAt(std::size_t i) {
+    return pollers_[(poll_head_ + i) & (pollers_.size() - 1)];
+  }
+  const PollKey& pollerAt(std::size_t i) const {
+    return pollers_[(poll_head_ + i) & (pollers_.size() - 1)];
+  }
+  const PollKey& nextPoller() const { return pollerAt(0); }
+  /// Queue a poller tick in (time, seq) order / drop the first one.
+  void insertPoller(const PollKey& key);
+  void popPoller() {
+    poll_head_ = (poll_head_ + 1) & (pollers_.size() - 1);
+    --poll_count_;
+  }
+  /// Run the poller tick at the head of pollers_ (now_ already set).
+  void tickPoller();
+  /// DKF_AUDIT check of a re-key: the step answers Quiet again, with the
+  /// same horizon, and takes no seq.
+  void auditRekey(Poller& p);
 
   /// Final-suspend notification from a spawned task (called while the
   /// coroutine sits at its final suspend point; retirement is deferred to
@@ -172,6 +279,9 @@ class Engine {
   TimeNs now_{0};
   std::uint64_t seq_{0};
   std::size_t processed_{0};
+  /// Bumped by every dispatch except a re-key and a Quiet step, and by
+  /// spawn(): a Quiet answer holds while the epoch it was given in lasts.
+  std::uint64_t epoch_{0};
   TimeNs watchdog_deadline_{0};
   bool watchdog_armed_{false};
   bool audit_{false};
@@ -179,6 +289,13 @@ class Engine {
   std::size_t peak_pending_{0};
 
   std::vector<EventKey> heap_;        // 4-ary min-heap on (time, seq)
+  /// Parked pollers, sorted on (time, seq): a ring of power-of-two size
+  /// holding poll_count_ keys from poll_head_ on. Each tick re-keys its
+  /// poller under the newest seq, so with one poll interval every insert
+  /// lands at the back: O(1), where a heap would sift through every level.
+  std::vector<PollKey> pollers_;
+  std::size_t poll_head_{0};
+  std::size_t poll_count_{0};
 
   std::vector<Callback> slots_;       // callback pool, indexed by EventKey::slot
   std::vector<std::uint32_t> free_slots_;
@@ -195,9 +312,10 @@ class Engine {
 /// predicate so call sites pay no type-erasure allocation.
 template <class Pred>
 Task<void> pollUntil(Engine& eng, Pred pred, DurationNs interval) {
-  while (!pred()) {
-    co_await eng.delay(interval);
-  }
+  if (pred()) co_return;
+  co_await eng.poll(interval, [&pred](TimeNs&) {
+    return pred() ? Poll::Resume : Poll::Again;
+  });
 }
 
 }  // namespace dkf::sim

@@ -398,6 +398,30 @@ TEST(ExplicitPack, PackThenUnpackRoundTrips) {
   }
 }
 
+// ---- Configuration rejected when the runtime is built ----
+
+// A zero poll interval re-polls every wait at one virtual instant: time
+// never advances, so not even the watchdog can stop the run.
+TEST(RuntimeConfigCheck, RejectsZeroPollInterval) {
+  sim::Engine eng;
+  hw::Cluster cluster(eng, hw::lassen(), 2);
+  RuntimeConfig cfg;
+  cfg.poll_interval = 0;
+  EXPECT_THROW(Runtime(cluster, cfg), CheckFailure);
+}
+
+// With reliability on, a zero base timeout re-sends on every pass until
+// the retry limit wrongly blames the transport. Off, it is never read.
+TEST(RuntimeConfigCheck, RejectsZeroBaseTimeoutWithReliability) {
+  sim::Engine eng;
+  hw::Cluster cluster(eng, hw::lassen(), 2);
+  RuntimeConfig cfg;
+  cfg.reliability.base_timeout = 0;
+  EXPECT_NO_THROW(Runtime(cluster, cfg));
+  cfg.reliability.enabled = true;
+  EXPECT_THROW(Runtime(cluster, cfg), CheckFailure);
+}
+
 // ---- Barrier ----
 
 TEST(Barrier, ReleasesAllRanksTogether) {

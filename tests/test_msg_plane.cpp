@@ -30,6 +30,7 @@
 #include "mpi/match_table.hpp"
 #include "mpi/runtime.hpp"
 #include "net/link_batcher.hpp"
+#include "schemes/factory.hpp"
 #include "sim/engine.hpp"
 
 namespace dkf {
@@ -273,6 +274,12 @@ struct Shape {
   /// One waiter coroutine per request (completion order traced) instead of
   /// one waitall per rank.
   bool waiter_per_request{false};
+  schemes::Scheme scheme{schemes::Scheme::Proposed};
+  /// RuntimeConfig::tenant_inflight_limit (0 = no admission control).
+  std::size_t inflight_limit{0};
+  /// Pack each message with Proc::pack and send its packed bytes; unpack
+  /// each with Proc::unpack after the waitall.
+  bool explicit_pack{false};
 };
 
 // 16 KiB packed, 32 KiB extent: a non-contiguous message above lassen's
@@ -304,6 +311,25 @@ const Shape kLossShapes[] = {kStridedRget, kStridedRput, kDirectIpc,
 const Shape kDirectIpcWaiters{"intra-node DirectIPC, waiter per request", 1,
                               8, &stridedType, 1, mpi::Protocol::RGet, true,
                               us(5), true};
+// The poll loops the Proposed-scheme waitall inputs above never reach:
+// GPU-Async, the one engine whose progress() costs CPU time (its deferred
+// queries); GPU-Sync, whose submissions block; admission back-pressure
+// (Proc::admitSend, here with the tenant's packs pending in the fusion
+// engine); and the explicit Proc::pack / Proc::unpack ticket waits.
+const Shape kGpuAsync{"strided RGet, GPU-Async", 2, 8, &stridedType, 1,
+                      mpi::Protocol::RGet, false, us(40), false,
+                      schemes::Scheme::GpuAsync};
+const Shape kGpuSync{"strided RGet, GPU-Sync", 2, 8, &stridedType, 1,
+                     mpi::Protocol::RGet, false, us(40), false,
+                     schemes::Scheme::GpuSync};
+const Shape kAdmission{"strided RGet, 2 sends in flight", 2, 8, &stridedType,
+                       1, mpi::Protocol::RGet, false, us(40), false,
+                       schemes::Scheme::Proposed, 2};
+const Shape kExplicitPack{"strided, explicit pack and unpack", 2, 8,
+                          &stridedType, 1, mpi::Protocol::RGet, false, us(40),
+                          false, schemes::Scheme::Proposed, 0, true};
+const Shape kPollLoopShapes[] = {kGpuAsync, kGpuSync, kAdmission,
+                                 kExplicitPack};
 
 struct WorldTrace {
   std::vector<std::uint64_t> completion_order;  // (rank << 32) | tag
@@ -332,6 +358,29 @@ sim::Task<void> tracedRank(mpi::Proc& p, const Shape& shape, int ranks,
   const auto type = shape.type();
   const auto region = static_cast<std::size_t>(type->extent()) * shape.count;
   std::vector<mpi::RequestPtr> mine;
+  if (shape.explicit_pack) {
+    const std::size_t packed = type->size() * shape.count;
+    const gpu::MemSpan spacked = p.allocDevice(packed * shape.msgs);
+    const gpu::MemSpan rpacked = p.allocDevice(packed * shape.msgs);
+    const auto bytes = ddt::Datatype::byte();
+    for (int i = 0; i < shape.msgs; ++i) {
+      mine.push_back(co_await p.irecv(rpacked.subspan(i * packed, packed),
+                                      bytes, packed, from, i));
+    }
+    for (int i = 0; i < shape.msgs; ++i) {
+      co_await p.pack(sbuf.subspan(i * region, region), type, shape.count,
+                      spacked.subspan(i * packed, packed));
+      mine.push_back(co_await p.isend(spacked.subspan(i * packed, packed),
+                                      bytes, packed, to, i));
+    }
+    posted.insert(posted.end(), mine.begin(), mine.end());
+    co_await p.waitall(std::move(mine));
+    for (int i = 0; i < shape.msgs; ++i) {
+      co_await p.unpack(rpacked.subspan(i * packed, packed),
+                        rbuf.subspan(i * region, region), type, shape.count);
+    }
+    co_return;
+  }
   auto track = [&](mpi::RequestPtr req, int tag, std::uint64_t send_bit) {
     if (shape.waiter_per_request) {
       p.engine().spawn(traceWait(p, req,
@@ -366,8 +415,10 @@ WorldTrace runTracedWorld(const Shape& shape, double loss,
   hw::Cluster cluster(eng, machine, shape.nodes);
   std::optional<fault::FaultPlan> plan;
   mpi::RuntimeConfig cfg;
+  cfg.scheme = shape.scheme;
   cfg.rendezvous = shape.rendezvous;
   cfg.enable_direct_ipc = shape.direct_ipc;
+  cfg.tenant_inflight_limit = shape.inflight_limit;
   if (loss > 0.0) {
     fault::FaultSpec fs;
     fs.seed = seed;
@@ -598,6 +649,32 @@ constexpr Golden kGoldens[] = {
     {"RPut RTS timeout mid-pack", 12, 0x19508,
      {0xdbb313d68b39f459, 0xcbf29ce484222325, 0x92fea2bfcdf23629,
       129309, 240, 1934}},
+    // kPollLoopShapes, recorded from the runtime whose poll loops still
+    // slept on delay(poll_interval) between polls.
+    {"strided RGet, GPU-Async", 0, 0x10551,
+     {0x5618ec83d5915d8b, 0xcbf29ce484222325, 0xa1edd36699aa9875,
+      196603, 0, 3390}},
+    {"strided RGet, GPU-Async", 12, 0x10551,
+     {0x5618ec83d5915d8b, 0xcbf29ce484222325, 0x570307a4201787e5,
+      379679, 47, 4437}},
+    {"strided RGet, GPU-Sync", 0, 0x10551,
+     {0x5618ec83d5915d8b, 0xcbf29ce484222325, 0x57faab0bb02279ed,
+      249616, 0, 1690}},
+    {"strided RGet, GPU-Sync", 12, 0x10551,
+     {0x5618ec83d5915d8b, 0xcbf29ce484222325, 0x39fdd8bf43b3b61,
+      365718, 41, 4025}},
+    {"strided RGet, 2 sends in flight", 0, 0x10551,
+     {0x5618ec83d5915d8b, 0xcbf29ce484222325, 0x6b8e102e361e0a55,
+      204306, 0, 2678}},
+    {"strided RGet, 2 sends in flight", 12, 0x10551,
+     {0x5618ec83d5915d8b, 0xcbf29ce484222325, 0x3f26935dd90864f9,
+      395050, 43, 6646}},
+    {"strided, explicit pack and unpack", 0, 0x10551,
+     {0x5618ec83d5915d8b, 0xcbf29ce484222325, 0x4880799823a8b181,
+      312200, 0, 5398}},
+    {"strided, explicit pack and unpack", 12, 0x10551,
+     {0x5618ec83d5915d8b, 0xcbf29ce484222325, 0x177967e9001ef887,
+      568950, 46, 8594}},
 };
 
 constexpr std::uint64_t kLossSeed = 0x10551;
@@ -684,6 +761,15 @@ TEST(MsgPlaneDeterminism, MatchesGoldensUnderLoss) {
   }
   EXPECT_EQ(checkDirectIpcWaiters(0, kLossSeed), "");
   EXPECT_EQ(checkDirectIpcWaiters(12, kLossSeed), "");
+}
+
+// The poll loops beyond the Proposed scheme's waitall: other engines,
+// admission back-pressure and explicit pack/unpack.
+TEST(MsgPlaneDeterminism, MatchesGoldensOtherPollLoops) {
+  for (const Shape& shape : kPollLoopShapes) {
+    EXPECT_EQ(checkGolden(shape, 0, kLossSeed), "");
+    EXPECT_EQ(checkGolden(shape, 12, kLossSeed), "");
+  }
 }
 
 TEST(MsgPlaneDeterminism, FuzzSeedsParallel) {

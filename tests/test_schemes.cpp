@@ -46,14 +46,15 @@ class SchemeFixture : public ::testing::Test {
 
   /// Drive the engine until ticket completion (flush + poll loop).
   void completeTicket(DdtEngine& engine, Ticket t) {
-    eng_.spawn([](sim::Engine& eng, DdtEngine& e, Ticket tk) -> sim::Task<void> {
+    eng_.spawn([](sim::Engine& eng, sim::CpuTimeline& cpu, DdtEngine& e,
+                  Ticket tk) -> sim::Task<void> {
       co_await e.flush();
       while (!e.done(tk)) {
-        co_await e.progress();
+        if (const DurationNs owed = e.progress()) co_await cpu.busy(owed);
         co_await e.flush();
         co_await eng.delay(200);
       }
-    }(eng_, engine, t));
+    }(eng_, cpu_, engine, t));
     eng_.run();
   }
 
@@ -195,23 +196,24 @@ TEST_F(SchemeFixture, GpuAsyncQueryCostAccrues) {
   auto origin = filled(static_cast<std::size_t>(layout->endOffset()), 4);
   auto packed = gpu_.memory().allocate(layout->size());
 
-  eng_.spawn([](sim::Engine& eng, GpuAsyncEngine& e, ddt::LayoutPtr l,
-                gpu::MemSpan o, gpu::MemSpan p) -> sim::Task<void> {
+  eng_.spawn([](sim::Engine& eng, sim::CpuTimeline& cpu, GpuAsyncEngine& e,
+                ddt::LayoutPtr l, gpu::MemSpan o,
+                gpu::MemSpan p) -> sim::Task<void> {
     auto t = co_await e.submitPack(std::move(l), o, p);
     int queries = 0;
     while (!e.done(t)) {
       ++queries;
-      co_await e.progress();
+      if (const DurationNs owed = e.progress()) co_await cpu.busy(owed);
       co_await eng.delay(us(1));
     }
     EXPECT_GT(queries, 0);
-    co_await e.progress();  // pay the final query
+    co_await cpu.busy(e.progress());  // pay the final query
     // Each done() call deferred one cudaEventQuery driver cost.
     EXPECT_GE(e.breakdown().synchronize,
               static_cast<DurationNs>(queries) *
                   e.breakdown().synchronize / (queries + 1));
     EXPECT_GT(e.breakdown().synchronize, 0u);
-  }(eng_, engine, layout, origin, packed));
+  }(eng_, cpu_, engine, layout, origin, packed));
   eng_.run();
 }
 
