@@ -5,15 +5,16 @@
 // also report how hard the reliability layer had to work (drops observed,
 // retransmissions issued). Cells are independent simulations, so they fan
 // out over the parallel sweep pool and merge in index order — the table
-// and JSON are byte-identical to a serial run. Emits a JSON record per
-// cell to BENCH_faults.json (or the path given as argv[1]).
-#include <fstream>
+// and record are byte-identical to a serial run. Writes the record to
+// BENCH_faults.json (or the path given as argv[1]); a failed write exits
+// non-zero.
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_util/experiment.hpp"
 #include "bench_util/parallel.hpp"
+#include "bench_util/record.hpp"
 #include "bench_util/table.hpp"
 #include "hw/machines.hpp"
 
@@ -58,11 +59,16 @@ int main(int argc, char** argv) {
     results[cell] = bench::runBulkExchange(cfg);
   });
 
-  const auto wl_name = workloads::milcZdown(64).name;
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_faults.json";
-  std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"faults_loss_sweep\",\n  \"workload\": \""
-       << wl_name << "\",\n  \"rows\": [\n";
+  bench::Record record(
+      "faults_loss_sweep",
+      "with retransmission on, every scheme completes every cell up to 20% "
+      "data+control loss; the loss-free rows price the reliability layer "
+      "itself");
+  record.config() = bench::Json::object(
+      {{"workload", workloads::milcZdown(64).name},
+       {"loss_rates", loss_rates}});
+  bench::Json& rows = record.deterministic()["rows"];
 
   bench::Table table({"scheme", "loss", "mean us", "data drops",
                       "ctrl drops", "retrans", "dup ignored"});
@@ -76,17 +82,16 @@ int main(int argc, char** argv) {
                   std::to_string(r.fault_counters.control_drops),
                   std::to_string(r.transport.retransmissions),
                   std::to_string(r.transport.duplicates_ignored)});
-    if (cell > 0) json << ",\n";
-    json << "    {\"scheme\": \"" << schemes::schemeName(scheme)
-         << "\", \"loss\": " << loss
-         << ", \"mean_us\": " << r.meanLatencyUs()
-         << ", \"data_drops\": " << r.fault_counters.data_drops
-         << ", \"control_drops\": " << r.fault_counters.control_drops
-         << ", \"retransmissions\": " << r.transport.retransmissions
-         << ", \"duplicates_ignored\": " << r.transport.duplicates_ignored
-         << ", \"end_time_ns\": " << r.end_time << "}";
+    rows.push(bench::Json::object(
+        {{"scheme", schemes::schemeName(scheme)},
+         {"loss", loss},
+         {"mean_us", r.meanLatencyUs()},
+         {"data_drops", r.fault_counters.data_drops},
+         {"control_drops", r.fault_counters.control_drops},
+         {"retransmissions", r.transport.retransmissions},
+         {"duplicates_ignored", r.transport.duplicates_ignored},
+         {"end_time_ns", r.end_time}}));
   }
-  json << "\n  ]\n}\n";
   table.print(std::cout);
   std::cout << "\nShape: the loss-free rows price the reliability layer "
                "itself (eager ACK round-trips; rendezvous is unchanged); "
@@ -94,5 +99,5 @@ int main(int argc, char** argv) {
                "paid, but every cell completes and no scheme hangs.\n"
                "  JSON -> "
             << json_path << "\n";
-  return 0;
+  return record.write(json_path) ? 0 : 1;
 }

@@ -9,17 +9,16 @@
 // LayoutCache (hit rate >= 99%). Each claim is measured against a *naive
 // shadow* — the seed algorithm reimplemented locally (enumerate all
 // count x blocks runs, globally sort + coalesce, pack per segment) — and
-// the sweep is emitted as a JSON record to BENCH_ddt_pack.json (or the path
+// the sweep is written as a record to BENCH_ddt_pack.json (or the path
 // given as argv[1]). Every pack and unpack row also compares its bytes with
 // the shadow's; the exit code is non-zero when any row differs.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_util/record.hpp"
 #include "bench_util/table.hpp"
 #include "common/rng.hpp"
 #include "ddt/datatype.hpp"
@@ -58,48 +57,10 @@ std::vector<ddt::Segment> naiveFlatten(const ddt::DatatypePtr& type,
   return merged;
 }
 
-/// Median-of-reps wall time of `fn` in nanoseconds.
-template <class F>
-double timeNs(F&& fn, int reps = 9) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count()));
-  }
-  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
-                   samples.end());
-  return samples[samples.size() / 2];
-}
+/// Timed repetitions of every measured call; the tables print the median.
+constexpr std::size_t kReps = 9;
 
 volatile std::size_t g_sink = 0;
-
-struct FlattenRow {
-  std::string workload;
-  std::size_t count;
-  std::size_t blocks;
-  double flatten_ns;
-  double naive_ns;
-  std::size_t compressed_bytes;
-  std::size_t naive_bytes;
-  std::size_t groups;
-};
-
-struct PackRow {
-  std::string workload;
-  std::size_t dim;
-  std::size_t count;
-  std::size_t bytes;
-  double pack_ns_per_byte;
-  double naive_ns_per_byte;
-  double unpack_ns_per_byte;
-  double naive_unpack_ns_per_byte;
-  bool bytes_match;
-};
 
 std::string fmt1(double v) {
   char buf[32];
@@ -110,6 +71,16 @@ std::string fmt1(double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Record record(
+      "micro_ddt_pack",
+      "flatten cost and layout memory are O(blocks-per-element) regardless "
+      "of count (seed was linear in count x blocks); a count sweep costs one "
+      "flatten through the layout cache; compiled pack/unpack bytes equal "
+      "the naive shadow's");
+  record.config()["reps"] = kReps;
+  bench::Json& det = record.deterministic();
+  bench::Json& wall = record.wall();
+
   bench::banner(std::cout,
                 "Micro — count-compressed flatten vs naive segment "
                 "materialization (cost and memory must be count-independent)");
@@ -122,31 +93,37 @@ int main(int argc, char** argv) {
       {32, workloads::specfem3dOc(32)}, {16, workloads::specfem3dCm(16)},
       {32, workloads::milcZdown(32)}, {32, workloads::nasMgFace(32)}};
 
-  std::vector<FlattenRow> flatten_rows;
   bench::Table ftable({"Workload", "Count", "Blocks", "Flatten ns",
                        "Naive ns", "Compressed B", "Naive B", "Groups"});
   for (const auto& [dim, wl] : types) {
     for (const std::size_t count : {1u, 8u, 64u, 256u, 1024u}) {
-      const double flat_ns = timeNs([&] {
+      const bench::Spread flat_ns = bench::timeNs([&] {
         const auto l = ddt::flatten(wl.type, count);
         g_sink = g_sink + l.blockCount();
-      });
-      const double naive_ns = timeNs([&] {
+      }, kReps);
+      const bench::Spread naive_ns = bench::timeNs([&] {
         const auto segs = naiveFlatten(wl.type, count);
         g_sink = g_sink + segs.size();
-      });
+      }, kReps);
       const auto layout = ddt::flatten(wl.type, count);
       const std::size_t naive_bytes =
           layout.blockCount() * sizeof(ddt::Segment);
-      flatten_rows.push_back(FlattenRow{
-          wl.name, count, layout.blockCount(), flat_ns, naive_ns,
-          layout.compressedBytes(), naive_bytes, layout.groupCount()});
-      const FlattenRow& r = flatten_rows.back();
-      ftable.addRow({r.workload, std::to_string(r.count),
-                     std::to_string(r.blocks), fmt1(r.flatten_ns),
-                     fmt1(r.naive_ns), std::to_string(r.compressed_bytes),
-                     std::to_string(r.naive_bytes),
-                     std::to_string(r.groups)});
+      ftable.addRow({wl.name, std::to_string(count),
+                     std::to_string(layout.blockCount()),
+                     fmt1(flat_ns.median), fmt1(naive_ns.median),
+                     std::to_string(layout.compressedBytes()),
+                     std::to_string(naive_bytes),
+                     std::to_string(layout.groupCount())});
+      det["flatten_sweep"].push(bench::Json::object(
+          {{"workload", wl.name},
+           {"count", count},
+           {"blocks", layout.blockCount()},
+           {"compressed_bytes", layout.compressedBytes()},
+           {"naive_bytes", naive_bytes},
+           {"groups", layout.groupCount()}}));
+      wall["flatten_sweep"][wl.name + " count " + std::to_string(count)] =
+          bench::Json::object(
+              {{"flatten_ns", flat_ns}, {"naive_flatten_ns", naive_ns}});
     }
   }
   ftable.print(std::cout);
@@ -178,7 +155,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<PackRow> pack_rows;
   std::size_t mismatches = 0;
   bench::Table ptable({"Workload", "Dim", "Count", "Payload B", "Pack ns/B",
                        "Naive ns/B", "Unpack ns/B", "Naive unpack ns/B",
@@ -195,11 +171,11 @@ int main(int argc, char** argv) {
     std::vector<std::byte> unpacked(span, std::byte{0});
     std::vector<std::byte> naive_unpacked(span, std::byte{0});
 
-    const double pack_ns = timeNs([&] {
+    const bench::Spread pack_ns = bench::timeNs([&] {
       g_sink = g_sink + ddt::packCpu(layout, origin, packed);
-    });
+    }, kReps);
     const auto segs = naiveFlatten(c.wl.type, c.count);
-    const double naive_ns = timeNs([&] {
+    const bench::Spread naive_ns = bench::timeNs([&] {
       std::size_t out = 0;
       for (const ddt::Segment& s : segs) {
         std::copy_n(origin.begin() + s.offset, s.len,
@@ -207,11 +183,11 @@ int main(int argc, char** argv) {
         out += s.len;
       }
       g_sink = g_sink + out;
-    });
-    const double unpack_ns = timeNs([&] {
+    }, kReps);
+    const bench::Spread unpack_ns = bench::timeNs([&] {
       g_sink = g_sink + ddt::unpackCpu(layout, packed, unpacked);
-    });
-    const double naive_unpack_ns = timeNs([&] {
+    }, kReps);
+    const bench::Spread naive_unpack_ns = bench::timeNs([&] {
       std::size_t in = 0;
       for (const ddt::Segment& s : segs) {
         std::copy_n(naive_packed.begin() + in, s.len,
@@ -219,7 +195,7 @@ int main(int argc, char** argv) {
         in += s.len;
       }
       g_sink = g_sink + in;
-    });
+    }, kReps);
     const bool match = packed == naive_packed && unpacked == naive_unpacked;
     if (!match) {
       ++mismatches;
@@ -227,17 +203,27 @@ int main(int argc, char** argv) {
                 << c.count << ": pack/unpack bytes differ from the shadow\n";
     }
     const auto bytes = static_cast<double>(layout.size());
-    pack_rows.push_back(PackRow{c.wl.name, c.dim, c.count, layout.size(),
-                                pack_ns / bytes, naive_ns / bytes,
-                                unpack_ns / bytes, naive_unpack_ns / bytes,
-                                match});
-    const PackRow& r = pack_rows.back();
-    ptable.addRow({r.workload, std::to_string(r.dim), std::to_string(r.count),
-                   std::to_string(r.bytes), fmt1(r.pack_ns_per_byte * 1000),
-                   fmt1(r.naive_ns_per_byte * 1000),
-                   fmt1(r.unpack_ns_per_byte * 1000),
-                   fmt1(r.naive_unpack_ns_per_byte * 1000),
-                   r.bytes_match ? "ok" : "MISMATCH"});
+    const bench::Spread pack = pack_ns.per(bytes);
+    const bench::Spread naive = naive_ns.per(bytes);
+    const bench::Spread unpack = unpack_ns.per(bytes);
+    const bench::Spread naive_unpack = naive_unpack_ns.per(bytes);
+    ptable.addRow({c.wl.name, std::to_string(c.dim), std::to_string(c.count),
+                   std::to_string(layout.size()), fmt1(pack.median * 1000),
+                   fmt1(naive.median * 1000), fmt1(unpack.median * 1000),
+                   fmt1(naive_unpack.median * 1000),
+                   match ? "ok" : "MISMATCH"});
+    det["pack_sweep"].push(bench::Json::object(
+        {{"workload", c.wl.name},
+         {"dim", c.dim},
+         {"count", c.count},
+         {"payload_bytes", layout.size()},
+         {"bytes_match", match}}));
+    wall["pack_sweep"][c.wl.name + " dim " + std::to_string(c.dim) +
+                       " count " + std::to_string(c.count)] =
+        bench::Json::object({{"pack_ns_per_byte", pack},
+                             {"naive_pack_ns_per_byte", naive},
+                             {"unpack_ns_per_byte", unpack},
+                             {"naive_unpack_ns_per_byte", naive_unpack}});
   }
   ptable.print(std::cout);
   std::cout << "\n(ns/B columns are scaled x1000: picoseconds per byte.)\n";
@@ -261,49 +247,16 @@ int main(int argc, char** argv) {
             << fmt1(hit_rate * 100.0) << "%, resident "
             << cache.residentBytes() << " B\n";
 
-  // ---- JSON record ----
+  det["cache_sweep"] = bench::Json::object(
+      {{"counts", kSweepCounts},
+       {"lookups", static_cast<std::size_t>(lookups)},
+       {"misses", cc.misses},
+       {"hits", cc.hits},
+       {"derivations", cc.derivations},
+       {"hit_rate", hit_rate},
+       {"resident_bytes", cache.residentBytes()}});
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_ddt_pack.json";
-  std::ofstream json(json_path);
-  if (!json) {
-    std::cerr << "error: cannot open " << json_path << " for writing\n";
-    return 1;
-  }
-  json << "{\n"
-       << "  \"bench\": \"micro_ddt_pack\",\n"
-       << "  \"claim\": \"flatten cost and layout memory are "
-          "O(blocks-per-element) regardless of count (seed was linear in "
-          "count x blocks); a count sweep costs one flatten through the "
-          "layout cache\",\n"
-       << "  \"flatten_sweep\": [\n";
-  for (std::size_t i = 0; i < flatten_rows.size(); ++i) {
-    const FlattenRow& r = flatten_rows[i];
-    json << "    {\"workload\": \"" << r.workload << "\", \"count\": "
-         << r.count << ", \"blocks\": " << r.blocks << ", \"flatten_ns\": "
-         << r.flatten_ns << ", \"naive_flatten_ns\": " << r.naive_ns
-         << ", \"compressed_bytes\": " << r.compressed_bytes
-         << ", \"naive_bytes\": " << r.naive_bytes << ", \"groups\": "
-         << r.groups << "}" << (i + 1 < flatten_rows.size() ? "," : "")
-         << "\n";
-  }
-  json << "  ],\n  \"pack_sweep\": [\n";
-  for (std::size_t i = 0; i < pack_rows.size(); ++i) {
-    const PackRow& r = pack_rows[i];
-    json << "    {\"workload\": \"" << r.workload << "\", \"dim\": "
-         << r.dim << ", \"count\": " << r.count << ", \"payload_bytes\": "
-         << r.bytes << ", \"pack_ns_per_byte\": " << r.pack_ns_per_byte
-         << ", \"naive_pack_ns_per_byte\": " << r.naive_ns_per_byte
-         << ", \"unpack_ns_per_byte\": " << r.unpack_ns_per_byte
-         << ", \"naive_unpack_ns_per_byte\": " << r.naive_unpack_ns_per_byte
-         << ", \"bytes_match\": " << (r.bytes_match ? "true" : "false")
-         << "}" << (i + 1 < pack_rows.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"cache_sweep\": {\"counts\": " << kSweepCounts
-       << ", \"lookups\": " << static_cast<std::size_t>(lookups)
-       << ", \"misses\": " << cc.misses << ", \"hits\": " << cc.hits
-       << ", \"derivations\": " << cc.derivations << ", \"hit_rate\": "
-       << hit_rate << ", \"resident_bytes\": " << cache.residentBytes()
-       << "}\n}\n";
+  if (!record.write(json_path)) return 1;
   std::cout << "\nrecord written to " << json_path << "\n";
   if (mismatches != 0) {
     std::cerr << "error: " << mismatches

@@ -26,15 +26,14 @@
 // (whose submit sites all route through compiled plans) and the per-Proc
 // plan-cache counters it leaves behind.
 //
-// Emits a JSON record to BENCH_fusion_plan.json (or argv[1]).
-#include <chrono>
+// Writes the record to BENCH_fusion_plan.json (or argv[1]).
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_util/record.hpp"
 #include "bench_util/table.hpp"
 #include "common/check.hpp"
 #include "hw/cluster.hpp"
@@ -84,29 +83,25 @@ PathResult runResolution(Path path, std::size_t rounds) {
 
   core::PlanCache cache;
   std::size_t live = 0;  // defeat dead-code elimination of the loop body
-  const auto wall_begin = std::chrono::steady_clock::now();
-  for (std::size_t round = 0; round < rounds; ++round) {
-    for (const ddt::LayoutPtr& layout : pool) {
-      core::FusionPlan plan;
-      plan.addPack(layout);
-      const core::CompiledPlanPtr compiled =
-          path == Path::Compiled
-              ? schemes::compilePlanCached(cache, plan,
-                                           schemes::Scheme::Proposed, hw)
-              : schemes::compilePlan(plan, schemes::Scheme::Proposed, hw);
-      live += compiled->steps.size();
+  const double wall_ns = bench::wallNs([&] {
+    for (std::size_t round = 0; round < rounds; ++round) {
+      for (const ddt::LayoutPtr& layout : pool) {
+        core::FusionPlan plan;
+        plan.addPack(layout);
+        const core::CompiledPlanPtr compiled =
+            path == Path::Compiled
+                ? schemes::compilePlanCached(cache, plan,
+                                             schemes::Scheme::Proposed, hw)
+                : schemes::compilePlan(plan, schemes::Scheme::Proposed, hw);
+        live += compiled->steps.size();
+      }
     }
-  }
-  const auto wall_end = std::chrono::steady_clock::now();
+  });
   DKF_CHECK(live == rounds * pool.size());
 
   PathResult r;
   r.messages = rounds * pool.size();
-  r.wall_ns_per_msg =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              wall_end - wall_begin)
-                              .count()) /
-      static_cast<double>(r.messages);
+  r.wall_ns_per_msg = wall_ns / static_cast<double>(r.messages);
   r.hits = cache.hits();
   r.misses = cache.misses();
   return r;
@@ -167,17 +162,11 @@ PathResult runPath(Path path, std::size_t rounds) {
     }
   }(eng, *engine, gpu, cache, path, pool, rounds));
 
-  const auto wall_begin = std::chrono::steady_clock::now();
-  eng.run();
-  const auto wall_end = std::chrono::steady_clock::now();
+  const double wall_ns = bench::wallNs([&] { eng.run(); });
 
   PathResult r;
   r.messages = rounds * pool.size();
-  r.wall_ns_per_msg =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              wall_end - wall_begin)
-                              .count()) /
-      static_cast<double>(r.messages);
+  r.wall_ns_per_msg = wall_ns / static_cast<double>(r.messages);
   r.hits = cache.hits();
   r.misses = cache.misses();
   return r;
@@ -255,35 +244,33 @@ int main(int argc, char** argv) {
   // Warm-up absorbs first-touch allocation noise; measured passes count.
   (void)runResolution(Path::PerMessage, 256);
   (void)runResolution(Path::Compiled, 256);
-  // Alternate the paths and keep each one's best trial: the cached path
+  // Alternate the paths and print each one's best trial: the cached path
   // does a strict subset of the per-message path's work, so the minima
   // order deterministically.
   PathResult per_message, compiled;
+  SampleSet per_message_ns, compiled_ns;
   for (int trial = 0; trial < kTrials; ++trial) {
-    const PathResult pm = runResolution(Path::PerMessage, kResolutionRounds);
-    const PathResult cp = runResolution(Path::Compiled, kResolutionRounds);
-    if (trial == 0 || pm.wall_ns_per_msg < per_message.wall_ns_per_msg) {
-      per_message = pm;
-    }
-    if (trial == 0 || cp.wall_ns_per_msg < compiled.wall_ns_per_msg) {
-      compiled = cp;
-    }
+    per_message = runResolution(Path::PerMessage, kResolutionRounds);
+    compiled = runResolution(Path::Compiled, kResolutionRounds);
+    per_message_ns.add(per_message.wall_ns_per_msg);
+    compiled_ns.add(compiled.wall_ns_per_msg);
   }
+  const bench::Spread per_message_wall = bench::spreadOf(per_message_ns);
+  const bench::Spread compiled_wall = bench::spreadOf(compiled_ns);
 
   bench::Table table(
       {"Path", "Messages", "Wall ns/msg", "Plan hits", "Plan misses",
        "Hit rate"});
   table.addRow({"per-message compile", std::to_string(per_message.messages),
-                fmt(per_message.wall_ns_per_msg), "-", "-", "-"});
+                fmt(per_message_wall.min), "-", "-", "-"});
   table.addRow({"compiled (PlanCache)", std::to_string(compiled.messages),
-                fmt(compiled.wall_ns_per_msg), std::to_string(compiled.hits),
+                fmt(compiled_wall.min), std::to_string(compiled.hits),
                 std::to_string(compiled.misses), fmt(compiled.hitRate())});
   table.print(std::cout);
 
-  const double speedup =
-      compiled.wall_ns_per_msg > 0.0
-          ? per_message.wall_ns_per_msg / compiled.wall_ns_per_msg
-          : 0.0;
+  const double speedup = compiled_wall.min > 0.0
+                             ? per_message_wall.min / compiled_wall.min
+                             : 0.0;
   std::cout << "\nShape: the cached path resolves each layout structure once "
                "(8 misses across a 12-layout, 3-count pool: two signatures "
                "per workload, count 1 vs counts >= 2) and serves the rest "
@@ -298,21 +285,29 @@ int main(int argc, char** argv) {
   constexpr std::size_t kEngineRounds = 4096;
   (void)runPath(Path::PerMessage, 64);
   (void)runPath(Path::Compiled, 64);
-  const PathResult e2e_per_message = runPath(Path::PerMessage, kEngineRounds);
-  const PathResult e2e_compiled = runPath(Path::Compiled, kEngineRounds);
+  PathResult e2e_per_message, e2e_compiled;
+  SampleSet e2e_per_message_ns, e2e_compiled_ns;
+  for (std::size_t trial = 0; trial < bench::kMinReps; ++trial) {
+    e2e_per_message = runPath(Path::PerMessage, kEngineRounds);
+    e2e_compiled = runPath(Path::Compiled, kEngineRounds);
+    e2e_per_message_ns.add(e2e_per_message.wall_ns_per_msg);
+    e2e_compiled_ns.add(e2e_compiled.wall_ns_per_msg);
+  }
+  const bench::Spread e2e_per_message_wall =
+      bench::spreadOf(e2e_per_message_ns);
+  const bench::Spread e2e_compiled_wall = bench::spreadOf(e2e_compiled_ns);
   bench::Table e2e_table({"Path", "Messages", "Wall ns/msg"});
   e2e_table.addRow({"per-message compile",
                     std::to_string(e2e_per_message.messages),
-                    fmt(e2e_per_message.wall_ns_per_msg)});
+                    fmt(e2e_per_message_wall.median)});
   e2e_table.addRow({"compiled (PlanCache)",
                     std::to_string(e2e_compiled.messages),
-                    fmt(e2e_compiled.wall_ns_per_msg)});
+                    fmt(e2e_compiled_wall.median)});
   e2e_table.print(std::cout);
   std::cout << "\nShape: both paths sit within noise of each other — plan "
                "handling is a ~"
-            << fmt(100.0 * (per_message.wall_ns_per_msg -
-                            compiled.wall_ns_per_msg) /
-                   e2e_compiled.wall_ns_per_msg)
+            << fmt(100.0 * (per_message_wall.min - compiled_wall.min) /
+                   e2e_compiled_wall.median)
             << "% slice of the ~2 us/message scheduling machinery, i.e. "
                "never the bottleneck on either path.\n";
 
@@ -329,36 +324,36 @@ int main(int argc, char** argv) {
   std::cout << "\nShape: one compile per (op kind, layout structure) per "
                "rank; every further message — any count — is a hit.\n";
 
+  bench::Record record(
+      "micro_fusion_plan",
+      "repeat-layout traffic through the PlanCache runs at or below the "
+      "per-message compile path's host ns/message, with a hit rate "
+      "approaching 1");
+  record.config() = bench::Json::object(
+      {{"resolution_rounds", kResolutionRounds},
+       {"engine_rounds", kEngineRounds}});
+  record.deterministic() = bench::Json::object(
+      {{"resolution",
+        bench::Json::object({{"messages", compiled.messages},
+                             {"plan_hits", compiled.hits},
+                             {"plan_misses", compiled.misses},
+                             {"hit_rate", compiled.hitRate()}})},
+       {"engine_traffic_messages", e2e_compiled.messages},
+       {"runtime_exchange",
+        bench::Json::object({{"messages", runtime.messages},
+                             {"plan_hits", runtime.hits},
+                             {"plan_misses", runtime.misses},
+                             {"hit_rate", runtime.hitRate()}})}});
+  record.wall() = bench::Json::object(
+      {{"resolution_ns_per_msg",
+        bench::Json::object({{"per_message", per_message_wall},
+                             {"compiled", compiled_wall}})},
+       {"engine_traffic_ns_per_msg",
+        bench::Json::object({{"per_message", e2e_per_message_wall},
+                             {"compiled", e2e_compiled_wall}})}});
   const std::string json_path =
       argc > 1 ? argv[1] : "BENCH_fusion_plan.json";
-  std::ofstream json(json_path);
-  if (!json) {
-    std::cerr << "error: cannot open " << json_path << " for writing\n";
-    return 1;
-  }
-  json << "{\n"
-       << "  \"bench\": \"micro_fusion_plan\",\n"
-       << "  \"claim\": \"repeat-layout traffic through the PlanCache runs "
-          "at or below the per-message compile path's host ns/message, "
-          "with a hit rate approaching 1\",\n"
-       << "  \"trials\": " << kTrials << ",\n"
-       << "  \"per_message\": {\"messages\": " << per_message.messages
-       << ", \"wall_ns_per_msg\": " << per_message.wall_ns_per_msg << "},\n"
-       << "  \"compiled\": {\"messages\": " << compiled.messages
-       << ", \"wall_ns_per_msg\": " << compiled.wall_ns_per_msg
-       << ", \"plan_hits\": " << compiled.hits
-       << ", \"plan_misses\": " << compiled.misses
-       << ", \"hit_rate\": " << compiled.hitRate() << "},\n"
-       << "  \"speedup\": " << speedup << ",\n"
-       << "  \"engine_traffic\": {\"per_message_ns_per_msg\": "
-       << e2e_per_message.wall_ns_per_msg
-       << ", \"compiled_ns_per_msg\": " << e2e_compiled.wall_ns_per_msg
-       << ", \"messages\": " << e2e_compiled.messages << "},\n"
-       << "  \"runtime_exchange\": {\"messages\": " << runtime.messages
-       << ", \"plan_hits\": " << runtime.hits
-       << ", \"plan_misses\": " << runtime.misses
-       << ", \"hit_rate\": " << runtime.hitRate() << "}\n"
-       << "}\n";
+  if (!record.write(json_path)) return 1;
   std::cout << "\nfusion-plan record written to " << json_path << "\n";
   return 0;
 }

@@ -9,18 +9,17 @@
 // path — the seed implementation scanned O(capacity) on enqueue, claim and
 // query, so host time per message grew linearly with list capacity and
 // dominated bulk-transfer runs (Figs. 9-10 regime). With the O(1)
-// structures it must stay roughly flat. The sweep emits a JSON record
+// structures it must stay roughly flat. The sweep writes its record
 // (wall-clock + virtual-time per message) to BENCH_scheduler.json (or the
 // path given as argv[1]).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_util/record.hpp"
 #include "bench_util/table.hpp"
 #include "common/check.hpp"
 #include "core/scheduler.hpp"
@@ -85,15 +84,9 @@ SweepRow runCapacityPoint(std::size_t capacity, std::size_t total_messages) {
     }
   }(eng, sched, capacity, rounds, layout, src, dst));
 
-  const auto wall_begin = std::chrono::steady_clock::now();
-  eng.run();
-  const auto wall_end = std::chrono::steady_clock::now();
+  const double wall_ns = bench::wallNs([&] { eng.run(); });
 
   const double msgs = static_cast<double>(rounds * capacity);
-  const double wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall_end -
-                                                           wall_begin)
-          .count());
   return SweepRow{
       capacity, rounds * capacity, wall_ns / msgs,
       static_cast<double>(sched.breakdown().scheduling +
@@ -174,46 +167,45 @@ int main(int argc, char** argv) {
                 "enqueue+query must stay ~flat in capacity)");
 
   constexpr std::size_t kTotalMessages = 32768;
-  std::vector<SweepRow> sweep;
+  constexpr std::size_t kReps = 5;
+  bench::Record record(
+      "micro_scheduler",
+      "wall-clock per enqueue+flush+query stays ~flat in request-list "
+      "capacity (seed was linear: O(capacity) scans on enqueue, claim and "
+      "query)");
+  record.config() = bench::Json::object(
+      {{"messages_per_point", kTotalMessages}, {"reps", kReps}});
   bench::Table sweep_table({"Capacity", "Messages", "Wall ns/msg",
                             "Virtual sched ns/msg", "Fused kernels"});
   for (const std::size_t capacity :
        {64u, 128u, 256u, 512u, 1024u, 2048u, 4096u, 8192u}) {
-    // Warm-up pass absorbs first-touch allocation noise, measured pass counts.
+    // Warm-up pass absorbs first-touch allocation noise; measured passes
+    // count. The virtual columns are the same on every pass.
     (void)runCapacityPoint(capacity, capacity);
-    sweep.push_back(runCapacityPoint(capacity, kTotalMessages));
-    const SweepRow& r = sweep.back();
-    char wall[32], virt[32];
-    std::snprintf(wall, sizeof wall, "%.1f", r.wall_ns_per_msg);
+    SweepRow r{};
+    SampleSet wall_ns;
+    for (std::size_t rep = 0; rep < kReps; ++rep) {
+      r = runCapacityPoint(capacity, kTotalMessages);
+      wall_ns.add(r.wall_ns_per_msg);
+    }
+    const bench::Spread wall = bench::spreadOf(wall_ns);
+    char wall_cell[32], virt[32];
+    std::snprintf(wall_cell, sizeof wall_cell, "%.1f", wall.median);
     std::snprintf(virt, sizeof virt, "%.1f", r.virt_sched_ns_per_msg);
     sweep_table.addRow({std::to_string(r.capacity), std::to_string(r.messages),
-                        wall, virt, std::to_string(r.fused_kernels)});
+                        wall_cell, virt, std::to_string(r.fused_kernels)});
+    record.deterministic()["capacity_sweep"].push(bench::Json::object(
+        {{"capacity", r.capacity},
+         {"messages", r.messages},
+         {"virtual_scheduling_ns_per_msg", r.virt_sched_ns_per_msg},
+         {"fused_kernels", r.fused_kernels}}));
+    record.wall()["capacity_sweep"][std::to_string(r.capacity)] =
+        bench::Json::object({{"wall_ns_per_msg", wall}});
   }
   sweep_table.print(std::cout);
 
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_scheduler.json";
-  std::ofstream json(json_path);
-  if (!json) {
-    std::cerr << "error: cannot open " << json_path << " for writing\n";
-    return 1;
-  }
-  json << "{\n"
-       << "  \"bench\": \"micro_scheduler_capacity_sweep\",\n"
-       << "  \"claim\": \"wall-clock per enqueue+flush+query stays ~flat in "
-          "request-list capacity (seed was linear: O(capacity) scans on "
-          "enqueue, claim and query)\",\n"
-       << "  \"messages_per_point\": " << kTotalMessages << ",\n"
-       << "  \"sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepRow& r = sweep[i];
-    json << "    {\"capacity\": " << r.capacity
-         << ", \"messages\": " << r.messages << ", \"wall_ns_per_msg\": "
-         << r.wall_ns_per_msg << ", \"virtual_scheduling_ns_per_msg\": "
-         << r.virt_sched_ns_per_msg << ", \"fused_kernels\": "
-         << r.fused_kernels << "}" << (i + 1 < sweep.size() ? "," : "")
-         << "\n";
-  }
-  json << "  ]\n}\n";
+  if (!record.write(json_path)) return 1;
   std::cout << "\ncapacity-sweep record written to " << json_path << "\n";
   return 0;
 }

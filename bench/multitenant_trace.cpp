@@ -21,20 +21,19 @@
 //   drr_faulted     drr_adversary under link-degradation windows
 //                   (noisy-neighbor FaultPlan; reported, not asserted)
 //
-// The trace totals ~1M messages across modes. Emits BENCH_multitenant.json
-// (or argv[1]); `--smoke` shrinks round counts only — per-round shape (and
-// therefore the isolation ratios) is unchanged, so CI asserts the same
-// bounds.
+// The trace totals ~1M messages across modes. Writes its record to
+// BENCH_multitenant.json (or argv[1]); the claim is in virtual time, so the
+// record holds no wall time. `--smoke` shrinks round counts only —
+// per-round shape (and therefore the isolation ratios) is unchanged, so CI
+// asserts the same bounds.
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include <chrono>
-
 #include "bench_util/percentiles.hpp"
+#include "bench_util/record.hpp"
 #include "bench_util/table.hpp"
 #include "common/alloc_count.hpp"
 #include "common/check.hpp"
@@ -252,24 +251,22 @@ ModeResult runMode(const ModeCfg& m) {
 
   const int participants = m.adversary ? 3 : 2;
   const std::uint64_t allocs0 = allocCount();
-  const auto t0 = std::chrono::steady_clock::now();
-  if (m.adversary) {
-    eng.spawn(adversarySender(rt.proc(0), m, participants, adv_bufs[0]));
-  }
-  eng.spawn(victimSender(rt.proc(0), m, participants, vic_bufs[0]));
-  eng.spawn(receiverBody(rt.proc(1), m, participants, vic_bufs[1],
-                         adv_bufs[1], vic_lat, adv_lat));
-  eng.run();
-  const auto t1 = std::chrono::steady_clock::now();
+  const double wall_ns = bench::wallNs([&] {
+    if (m.adversary) {
+      eng.spawn(adversarySender(rt.proc(0), m, participants, adv_bufs[0]));
+    }
+    eng.spawn(victimSender(rt.proc(0), m, participants, vic_bufs[0]));
+    eng.spawn(receiverBody(rt.proc(1), m, participants, vic_bufs[1],
+                           adv_bufs[1], vic_lat, adv_lat));
+    eng.run();
+  });
   DKF_CHECK_MSG(eng.unfinishedTasks() == 0,
                 "multitenant trace deadlocked with "
                     << eng.unfinishedTasks() << " suspended task(s)");
 
   ModeResult r;
   r.name = m.name;
-  r.wall_s =
-      std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
-          .count();
+  r.wall_s = wall_ns / 1e9;
   r.vtime = eng.now();
   r.events = eng.processedEvents();
   r.peak_pending = eng.peakPending();
@@ -335,22 +332,23 @@ std::string fmt(double v, int prec = 2) {
   return buf;
 }
 
-void tenantJson(std::ofstream& json, const char* label,
-                const TenantReport& t) {
-  json << "      \"" << label << "\": {\"messages\": " << t.messages
-       << ", \"latency_us\": {\"mean\": " << t.mean_us
-       << ", \"p50\": " << t.latency_us.p50
-       << ", \"p99\": " << t.latency_us.p99
-       << ", \"p999\": " << t.latency_us.p999 << "}"
-       << ", \"admitted\": " << t.admitted
-       << ", \"peak_inflight\": " << t.peak_inflight
-       << ", \"throttle_waits\": " << t.throttle_waits
-       << ", \"throttled_us\": " << t.throttled_us
-       << ", \"drr_deliveries\": " << t.deliveries
-       << ", \"fused_requests\": " << t.fused_requests
-       << ", \"plan_cache\": {\"hits\": " << t.plan_cache.hits
-       << ", \"misses\": " << t.plan_cache.misses
-       << ", \"fallbacks\": " << t.plan_cache.fallbacks << "}}";
+bench::Json tenantJson(const TenantReport& t) {
+  return bench::Json::object(
+      {{"messages", t.messages},
+       {"latency_us", bench::Json::object({{"mean", t.mean_us},
+                                           {"p50", t.latency_us.p50},
+                                           {"p99", t.latency_us.p99},
+                                           {"p999", t.latency_us.p999}})},
+       {"admitted", t.admitted},
+       {"peak_inflight", t.peak_inflight},
+       {"throttle_waits", t.throttle_waits},
+       {"throttled_us", t.throttled_us},
+       {"drr_deliveries", t.deliveries},
+       {"fused_requests", t.fused_requests},
+       {"plan_cache", bench::Json::object({{"hits", t.plan_cache.hits},
+                                           {"misses", t.plan_cache.misses},
+                                           {"fallbacks",
+                                            t.plan_cache.fallbacks}})}});
 }
 
 }  // namespace
@@ -429,59 +427,53 @@ int main(int argc, char** argv) {
                "fifo_solo virtual time): "
             << fmt(solo_vtime_ratio, 4) << "x\n";
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::cerr << "error: cannot open " << json_path << " for writing\n";
-    return 1;
+  bench::Record record(
+      "multitenant_trace",
+      "weighted wire sharing + DRR delivery arbitration + per-tenant "
+      "admission bound victim p99 inflation under an adversarial neighbor "
+      "to <= 2x, where the FIFO wire inflates it without bound; the "
+      "single-tenant serving plane costs nothing measurable");
+  record.config() = bench::Json::object(
+      {{"smoke", smoke},
+       {"victim_window", kVictimWindow},
+       {"adversary_window", kAdvWindow},
+       {"tenant_weights", std::vector<int>{4, 1}},
+       {"tenant_inflight_limit", kInflightLimit},
+       {"alloc_counting", allocCountingEnabled()}});
+  bench::Json& det = record.deterministic();
+  det["total_messages"] = total_messages;
+  for (const ModeResult& r : results) {
+    det["modes"].push(bench::Json::object(
+        {{"mode", r.name},
+         {"messages", r.messages},
+         {"virtual_end_ns", r.vtime},
+         {"events", r.events},
+         {"peak_pending", r.peak_pending},
+         {"degraded_transfers", r.degraded_transfers},
+         {"allocs_per_msg", r.allocsPerMsg()},
+         {"total_allocs", r.total_allocs},
+         {"payload_pool",
+          bench::Json::object(
+              {{"captures", r.pool.captures},
+               {"inline_captures", r.pool.inline_captures},
+               {"slab_allocs", r.pool.slab_allocs},
+               {"slab_reuses", r.pool.slab_reuses},
+               {"oversize_allocs", r.pool.oversize_allocs},
+               {"trims", r.pool.trims},
+               {"hit_rate", r.pool_hit_rate},
+               {"peak_live_buffers", r.pool_peak_live_buffers},
+               {"peak_live_bytes", r.pool_peak_live_bytes},
+               {"live_at_end", r.pool_live_end}})},
+         {"tenants",
+          bench::Json::object({{"victim", tenantJson(r.tenants[kVictim])},
+                               {"adversary",
+                                tenantJson(r.tenants[kAdversary])}})}}));
   }
-  json << "{\n"
-       << "  \"bench\": \"multitenant_trace\",\n"
-       << "  \"claim\": \"weighted wire sharing + DRR delivery arbitration "
-          "+ per-tenant admission bound victim p99 inflation under an "
-          "adversarial neighbor to <= 2x, where the FIFO wire inflates it "
-          "without bound; the single-tenant serving plane costs nothing "
-          "measurable\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"total_messages\": " << total_messages << ",\n"
-       << "  \"victim_window\": " << kVictimWindow << ",\n"
-       << "  \"adversary_window\": " << kAdvWindow << ",\n"
-       << "  \"tenant_weights\": [4, 1],\n"
-       << "  \"tenant_inflight_limit\": " << kInflightLimit << ",\n"
-       << "  \"alloc_counting\": "
-       << (allocCountingEnabled() ? "true" : "false") << ",\n"
-       << "  \"modes\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ModeResult& r = results[i];
-    json << "    {\"mode\": \"" << r.name
-         << "\", \"messages\": " << r.messages
-         << ", \"wall_s\": " << r.wall_s
-         << ", \"virtual_end_ns\": " << r.vtime
-         << ", \"events\": " << r.events
-         << ", \"peak_pending\": " << r.peak_pending
-         << ", \"degraded_transfers\": " << r.degraded_transfers
-         << ", \"allocs_per_msg\": " << r.allocsPerMsg()
-         << ", \"total_allocs\": " << r.total_allocs
-         << ", \"payload_pool\": {\"captures\": " << r.pool.captures
-         << ", \"inline_captures\": " << r.pool.inline_captures
-         << ", \"slab_allocs\": " << r.pool.slab_allocs
-         << ", \"slab_reuses\": " << r.pool.slab_reuses
-         << ", \"oversize_allocs\": " << r.pool.oversize_allocs
-         << ", \"trims\": " << r.pool.trims
-         << ", \"hit_rate\": " << r.pool_hit_rate
-         << ", \"peak_live_buffers\": " << r.pool_peak_live_buffers
-         << ", \"peak_live_bytes\": " << r.pool_peak_live_bytes
-         << ", \"live_at_end\": " << r.pool_live_end << "}"
-         << ", \"tenants\": {\n";
-    tenantJson(json, "victim", r.tenants[kVictim]);
-    json << ",\n";
-    tenantJson(json, "adversary", r.tenants[kAdversary]);
-    json << "\n    }}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
-       << "  \"isolation\": {\"fifo_victim_p99_inflation\": " << fifo_ratio
-       << ", \"drr_victim_p99_inflation\": " << drr_ratio
-       << ", \"single_tenant_vtime_ratio\": " << solo_vtime_ratio << "}\n"
-       << "}\n";
+  det["isolation"] = bench::Json::object(
+      {{"fifo_victim_p99_inflation", fifo_ratio},
+       {"drr_victim_p99_inflation", drr_ratio},
+       {"single_tenant_vtime_ratio", solo_vtime_ratio}});
+  if (!record.write(json_path)) return 1;
   std::cout << "record written to " << json_path << "\n";
 
   bool ok = true;

@@ -21,15 +21,16 @@
 // requests per rank and the ring alltoallv moves O(n^2) messages, so both
 // are swept only to 256 ranks; tree covers 1024.
 //
-// Emits BENCH_collectives.json (or argv[1]); `--smoke` restricts the
-// collective sweep to {64, 256} ranks for CI.
+// Writes its record to BENCH_collectives.json (or argv[1]); every value is
+// in virtual time or a count, so the record holds no wall time. `--smoke`
+// restricts the collective sweep to {64, 256} ranks for CI.
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_util/record.hpp"
 #include "bench_util/table.hpp"
 #include "hw/cluster.hpp"
 #include "hw/machines.hpp"
@@ -308,39 +309,32 @@ int main(int argc, char** argv) {
                "signature, so the pack/unpack plan compiles once and every "
                "further hop is a cache hit.\n";
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::cerr << "error: cannot open " << json_path << " for writing\n";
-    return 1;
+  bench::Record record(
+      "scaling_nodes",
+      "collectives scale to 1024 simulated ranks with a post-warm-up "
+      "plan-cache hit rate of ~1 on every algorithm");
+  record.config() = bench::Json::object(
+      {{"smoke", smoke}, {"rank_counts", rank_counts}});
+  bench::Json& det = record.deterministic();
+  for (const HaloRow& h : halo_rows) {
+    det["halo"].push(bench::Json::object({{"ranks", h.ranks},
+                                          {"gpu_sync_ns", h.sync},
+                                          {"proposed_ns", h.fused}}));
   }
-  json << "{\n"
-       << "  \"bench\": \"scaling_nodes\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"claim\": \"collectives scale to 1024 simulated ranks with a "
-          "post-warm-up plan-cache hit rate of ~1 on every algorithm\",\n"
-       << "  \"halo\": [\n";
-  for (std::size_t i = 0; i < halo_rows.size(); ++i) {
-    json << "    {\"ranks\": " << halo_rows[i].ranks
-         << ", \"gpu_sync_ns\": " << halo_rows[i].sync
-         << ", \"proposed_ns\": " << halo_rows[i].fused << "}"
-         << (i + 1 < halo_rows.size() ? "," : "") << "\n";
+  for (const CollCell& c : cells) {
+    det["collectives"].push(bench::Json::object(
+        {{"coll", collName(c.coll)},
+         {"algo", mpi::collAlgoName(c.tuning.algo)},
+         {"radix", c.tuning.radix},
+         {"ranks", c.ranks},
+         {"virtual_ns", c.virtual_time},
+         {"fabric_bytes", c.fabric_bytes},
+         {"fabric_messages", c.fabric_messages},
+         {"plan_hits", c.counters.hits},
+         {"plan_misses", c.counters.misses},
+         {"hit_rate", c.counters.hitRate()}}));
   }
-  json << "  ],\n"
-       << "  \"collectives\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CollCell& c = cells[i];
-    const char* algo = mpi::collAlgoName(c.tuning.algo);
-    json << "    {\"coll\": \"" << collName(c.coll) << "\", \"algo\": \""
-         << algo << "\", \"radix\": " << c.tuning.radix
-         << ", \"ranks\": " << c.ranks << ", \"virtual_ns\": "
-         << c.virtual_time << ", \"fabric_bytes\": " << c.fabric_bytes
-         << ", \"fabric_messages\": " << c.fabric_messages
-         << ", \"plan_hits\": " << c.counters.hits
-         << ", \"plan_misses\": " << c.counters.misses
-         << ", \"hit_rate\": " << c.counters.hitRate() << "}"
-         << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
+  if (!record.write(json_path)) return 1;
   std::cout << "\ncollective scaling record written to " << json_path << "\n";
   return 0;
 }

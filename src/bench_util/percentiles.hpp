@@ -1,8 +1,8 @@
 // Shared nearest-rank percentile summary for the serving benches.
 //
 // Every bench that reports tail latency (fig14_production,
-// multitenant_trace, throughput_msgplane) summarizes through this helper
-// instead of ad-hoc sorting, so "p99" means the same nearest-rank
+// multitenant_trace) and perfbench's latency metrics summarize through this
+// helper instead of ad-hoc sorting, so "p99" means the same nearest-rank
 // estimator everywhere: rank = ceil(p/100 * n), 1-based, on the sorted
 // samples — the estimator SampleSet::percentile already implements.
 #pragma once

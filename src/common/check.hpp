@@ -39,3 +39,16 @@ namespace detail {
                                  dkf_check_os_.str());                    \
     }                                                                     \
   } while (false)
+
+/// Fail unconditionally with a streamed message, e.g. after an exhaustive
+/// switch. The [[noreturn]] call has no condition in front of it, so every
+/// compiler configuration sees that control cannot fall off the end of a
+/// value-returning function (DKF_CHECK_MSG(false, ...) draws -Wreturn-type
+/// from GCC 12 under -fsanitize=thread -O0).
+#define DKF_FAIL(stream_expr)                                             \
+  do {                                                                    \
+    std::ostringstream dkf_check_os_;                                     \
+    dkf_check_os_ << stream_expr;                                         \
+    ::dkf::detail::checkFailed("false", __FILE__, __LINE__,               \
+                               dkf_check_os_.str());                      \
+  } while (false)

@@ -17,7 +17,7 @@ std::size_t elementSize(ReduceType t) {
     case ReduceType::Float64: return sizeof(double);
     case ReduceType::Int64: return sizeof(std::int64_t);
   }
-  DKF_CHECK_MSG(false, "unhandled ReduceType " << static_cast<int>(t));
+  DKF_FAIL("unhandled ReduceType " << static_cast<int>(t));
 }
 
 /// Validate `op` up front so every rank fails before any traffic, no
@@ -29,7 +29,7 @@ void validateReduceOp(ReduceOp op) {
     case ReduceOp::Max:
       return;
   }
-  DKF_CHECK_MSG(false, "unhandled ReduceOp " << static_cast<int>(op));
+  DKF_FAIL("unhandled ReduceOp " << static_cast<int>(op));
 }
 
 template <class T>
@@ -39,7 +39,7 @@ T combine(T a, T b, ReduceOp op) {
     case ReduceOp::Min: return std::min(a, b);
     case ReduceOp::Max: return std::max(a, b);
   }
-  DKF_CHECK_MSG(false, "unhandled ReduceOp " << static_cast<int>(op));
+  DKF_FAIL("unhandled ReduceOp " << static_cast<int>(op));
 }
 
 template <class T>
@@ -67,7 +67,7 @@ void applyReduce(std::span<std::byte> dst, std::span<const std::byte> src,
       combineSpans<std::int64_t>(dst, src, count, op);
       return;
   }
-  DKF_CHECK_MSG(false, "unhandled ReduceType " << static_cast<int>(type));
+  DKF_FAIL("unhandled ReduceType " << static_cast<int>(type));
 }
 
 ddt::DatatypePtr elemDatatype(ReduceType t) {
@@ -75,7 +75,7 @@ ddt::DatatypePtr elemDatatype(ReduceType t) {
     case ReduceType::Float64: return ddt::Datatype::float64();
     case ReduceType::Int64: return ddt::Datatype::int64();
   }
-  DKF_CHECK_MSG(false, "unhandled ReduceType " << static_cast<int>(t));
+  DKF_FAIL("unhandled ReduceType " << static_cast<int>(t));
 }
 
 /// Rank relative to the root (so the tree algorithms can assume root 0).
@@ -592,7 +592,7 @@ const char* collAlgoName(CollAlgo algo) {
     case CollAlgo::Ring: return "ring";
     case CollAlgo::Tree: return "tree";
   }
-  DKF_CHECK_MSG(false, "unhandled CollAlgo " << static_cast<int>(algo));
+  DKF_FAIL("unhandled CollAlgo " << static_cast<int>(algo));
 }
 
 sim::Task<void> bcast(Proc& proc, gpu::MemSpan buf, ddt::DatatypePtr type,

@@ -1092,7 +1092,6 @@ Runtime::Runtime(hw::Cluster& cluster, RuntimeConfig config)
                     config_.reliability.base_timeout > 0,
                 "ReliabilityConfig::base_timeout must be positive when "
                 "reliability is on");
-  cluster.fabric().setBatchWindow(config_.msg_batch_window);
   if (config_.contention.enabled) {
     cluster.fabric().setContention(config_.contention);
   }

@@ -87,10 +87,6 @@ struct RuntimeConfig {
   DurationNs call_overhead{ns(150)};
   /// Retransmission layer (see ReliabilityConfig).
   ReliabilityConfig reliability{};
-  /// Fabric delivery coalescing window: 0 (default) is exact; > 0 models
-  /// NIC interrupt moderation and trades per-message timing (bounded by
-  /// the window) for fewer events.
-  DurationNs msg_batch_window{ns(0)};
 
   // ---- Multi-tenant serving plane (MODEL.md §14) ----
   /// Link-level contention model + DRR delivery arbitration (applied to

@@ -127,7 +127,6 @@ class Fabric {
   /// meaningful before traffic: a batcher takes the window when its
   /// channel first carries a message.
   void setBatchWindow(DurationNs w) { batch_window_ = w; }
-  DurationNs batchWindow() const { return batch_window_; }
 
   // Aggregate batcher counters (bench/tests).
   std::size_t batchedDeliveries() const;

@@ -69,8 +69,7 @@ class ProposedSolver : public Solver {
       case Scheme::ProposedHybrid:
         return std::make_unique<HybridFusionEngine>(eng, cpu, gpu);
       default:
-        DKF_CHECK_MSG(false, "ProposedSolver built for non-fusion scheme");
-        return nullptr;
+        DKF_FAIL("ProposedSolver built for non-fusion scheme");
     }
   }
 
@@ -107,8 +106,7 @@ const Solver& SolverRegistry::at(Scheme s) const {
   for (const Solver* solver : view_) {
     if (solver->scheme() == s) return *solver;
   }
-  DKF_CHECK_MSG(false, "unknown scheme");
-  return *view_.front();
+  DKF_FAIL("unknown scheme");
 }
 
 const Solver* SolverRegistry::firstApplicable(const core::FusionPlan& plan,

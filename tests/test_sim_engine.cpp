@@ -485,13 +485,15 @@ TEST(EnginePoll, AuditCatchesALyingQuietStep) {
 
 // ---- Parallel sweep runner ------------------------------------------
 
+/// A Fig. 12-style grid (3 dims x 3 schemes) through the sweep runner.
 std::string sweepOutput(unsigned threads) {
   const unsigned prev = bench::setSweepThreads(threads);
   std::ostringstream os;
   bench::schemeSweepTable(
-      os, hw::lassen(), workloads::milcZdown, {8, 16},
-      {schemes::Scheme::GpuSync, schemes::Scheme::Proposed},
-      /*n_ops=*/4, /*iterations=*/3, /*warmup=*/1);
+      os, hw::lassen(), workloads::milcZdown, {8, 16, 32},
+      {schemes::Scheme::GpuSync, schemes::Scheme::GpuAsync,
+       schemes::Scheme::Proposed},
+      /*n_ops=*/8, /*iterations=*/5, /*warmup=*/1);
   bench::setSweepThreads(prev);
   return os.str();
 }
