@@ -17,10 +17,10 @@
 // path's work. The claim: compiled/cached ns/message <= per-message
 // ns/message, with a hit rate approaching 1 on repeat-layout traffic.
 //
-// Part 2 — the same A/B embedded in full engine traffic (submitPlanStep,
-// flush, done-polling): shows the plan slice is a small fraction of the
-// ~2 us/message scheduling machinery, i.e. plan handling is never the
-// bottleneck on either path.
+// Part 2 — the same A/B embedded in full engine traffic (submit of the
+// bound step, flush, done-polling): shows the plan slice is a small
+// fraction of the ~2 us/message scheduling machinery, i.e. plan handling is
+// never the bottleneck on either path.
 //
 // Part 3 — end-to-end: a two-rank bulk exchange through mpi::Runtime
 // (whose submit sites all route through compiled plans) and the per-Proc
@@ -150,8 +150,9 @@ PathResult runPath(Path path, std::size_t rounds) {
                 ? schemes::compilePlanCached(c, plan, schemes::Scheme::Proposed,
                                              hw)
                 : schemes::compilePlan(plan, schemes::Scheme::Proposed, hw);
-        tickets.push_back(co_await ddt_engine.submitPlanStep(
-            *compiled, 0, m.layout, nullptr, m.origin, m.packed));
+        tickets.push_back(co_await ddt_engine.submit(
+            compiled->steps.front().bind(m.layout, nullptr, m.origin,
+                                         m.packed)));
       }
       co_await ddt_engine.flush();
       for (const schemes::Ticket& t : tickets) {

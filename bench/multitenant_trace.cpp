@@ -16,8 +16,8 @@
 //                   p99 inflation (the failure mode)
 //   drr_solo        victim alone, contention model on         (baseline)
 //   drr_adversary   weighted wire sharing (4:1) + DRR delivery
-//                   arbitration + per-tenant admission (256) +
-//                   weighted fair batching: victim p99 inflation ≤ 2x
+//                   arbitration + per-tenant admission (256): victim p99
+//                   inflation ≤ 2x
 //   drr_faulted     drr_adversary under link-degradation windows
 //                   (noisy-neighbor FaultPlan; reported, not asserted)
 //
@@ -67,7 +67,7 @@ constexpr int kAdvTagBase = 1 << 15;        // below kCollectiveTagBase
 struct ModeCfg {
   std::string name;
   bool adversary{false};
-  bool drr{false};     // contention + admission + weighted fair batching
+  bool drr{false};     // contention + DRR arbitration + admission
   bool faulted{false};
   int rounds{0};
 };
@@ -113,7 +113,7 @@ struct ModeResult {
 
 /// The victim's datatype for message `i`: mostly contiguous bytes, every
 /// 8th a strided vector (32 blocks x 32 B, stride 64) so the pack/unpack
-/// path, the plan cache, and weighted-fair batching carry tenant traffic.
+/// path, the plan cache and the fusion scheduler carry tenant traffic.
 bool victimStrided(std::size_t i) { return i % 8 == 7; }
 
 // Each tenant submits from its own coroutine, as independent serving-plane
@@ -232,7 +232,6 @@ ModeResult runMode(const ModeCfg& m) {
     cfg.contention.weights.set(kVictim, 4.0);
     cfg.contention.weights.set(kAdversary, 1.0);
     cfg.tenant_inflight_limit = kInflightLimit;
-    cfg.weighted_fair_batching = true;
   }
   mpi::Runtime rt(cluster, cfg);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "ddt/pack.hpp"
 
 namespace dkf::core {
 
@@ -15,6 +16,41 @@ std::size_t roundUpPow2(std::size_t n) {
 }
 
 }  // namespace
+
+gpu::Gpu::Op kernelOp(const FusionRequest& req) {
+  gpu::Gpu::Op op;
+  switch (req.op) {
+    case FusionOp::Packing:
+      op.kind = gpu::Gpu::Op::Kind::Pack;
+      break;
+    case FusionOp::Unpacking:
+      op.kind = gpu::Gpu::Op::Kind::Unpack;
+      break;
+    case FusionOp::DirectIPC:
+      op.kind = gpu::Gpu::Op::Kind::StridedCopy;
+      op.dst_layout = req.target_layout;
+      break;
+  }
+  op.layout = req.layout;
+  op.src = req.origin.bytes;
+  op.dst = req.target.bytes;
+  return op;
+}
+
+void moveOnHost(const FusionRequest& req) {
+  switch (req.op) {
+    case FusionOp::Packing:
+      ddt::packCpu(*req.layout, req.origin.bytes, req.target.bytes);
+      break;
+    case FusionOp::Unpacking:
+      ddt::unpackCpu(*req.layout, req.origin.bytes, req.target.bytes);
+      break;
+    case FusionOp::DirectIPC:
+      ddt::copyStrided(*req.layout, req.origin.bytes, *req.target_layout,
+                       req.target.bytes);
+      break;
+  }
+}
 
 RequestList::RequestList(std::size_t capacity)
     : slots_(capacity),
@@ -30,7 +66,7 @@ RequestList::RequestList(std::size_t capacity)
   uid_mask_ = uid_ring_.size() - 1;
 }
 
-std::int64_t RequestList::tryEnqueue(FusionRequest req) {
+std::int64_t RequestList::tryEnqueue(FusionRequest&& req) {
   if (full()) {
     ++total_rejected_;
     return -1;
@@ -94,85 +130,6 @@ std::vector<std::size_t> RequestList::claimPendingBatch(
     ++busy_;
     batch.push_back(slot_index);
   }
-  maybeAudit();
-  return batch;
-}
-
-std::vector<std::size_t> RequestList::claimPendingBatchWeighted(
-    std::size_t max_requests, const TenantWeights& weights,
-    std::size_t quantum_bytes) {
-  const std::size_t n = std::min(max_requests, pending_);
-  // Taking everything pending is order-insensitive — the fused kernel runs
-  // the whole batch either way — so the FIFO claim's O(batch) path serves.
-  if (n == pending_) return claimPendingBatch(max_requests);
-  if (quantum_bytes == 0) quantum_bytes = 64 * 1024;
-
-  // Snapshot the pending slots (UID order) grouped per tenant.
-  std::vector<std::vector<std::size_t>> per_tenant;
-  for (std::size_t i = 0; i < pending_; ++i) {
-    const std::size_t s =
-        pending_ring_[(pending_head_ + i) % pending_ring_.size()];
-    const TenantId t = slots_[s].tenant;
-    if (t >= per_tenant.size()) per_tenant.resize(t + 1);
-    per_tenant[t].push_back(s);
-  }
-
-  // Deficit round robin over the tenant groups: each full rotation credits
-  // every backlogged tenant quantum x weight, heads are claimed while the
-  // credit covers their bytes. Progress is guaranteed — credit accumulates
-  // across rotations until the cheapest head is payable.
-  std::vector<double> deficit(per_tenant.size(), 0.0);
-  std::vector<std::size_t> cursor(per_tenant.size(), 0);
-  std::vector<std::size_t> batch;
-  batch.reserve(n);
-  while (batch.size() < n) {
-    for (TenantId t = 0; t < per_tenant.size() && batch.size() < n; ++t) {
-      if (cursor[t] >= per_tenant[t].size()) continue;
-      deficit[t] += static_cast<double>(quantum_bytes) * weights.weightOf(t);
-      while (cursor[t] < per_tenant[t].size() && batch.size() < n) {
-        const std::size_t s = per_tenant[t][cursor[t]];
-        const double cost = static_cast<double>(slots_[s].bytes());
-        if (deficit[t] < cost) break;
-        deficit[t] -= cost;
-        ++cursor[t];
-        batch.push_back(s);
-      }
-    }
-  }
-
-  // Mark the claimed entries Busy and rebuild the pending ring from the
-  // survivors — their relative UID order is untouched, preserving the
-  // ring's strictly-increasing-UID invariant.
-  std::vector<bool> claimed(slots_.size(), false);
-  for (const std::size_t s : batch) {
-    claimed[s] = true;
-    FusionRequest& r = slots_[s];
-    r.request_status = Status::Busy;
-    --pending_;
-    pending_bytes_ -= r.bytes();
-    ++busy_;
-  }
-  std::vector<std::size_t> survivors;
-  survivors.reserve(pending_);
-  const std::size_t old_head = pending_head_;
-  const std::size_t scanned = pending_ + batch.size();
-  for (std::size_t i = 0; i < scanned; ++i) {
-    const std::size_t idx = (old_head + i) % pending_ring_.size();
-    const std::size_t s = pending_ring_[idx];
-    if (!claimed[s]) survivors.push_back(s);
-    pending_ring_[idx] = npos;
-  }
-  pending_head_ = 0;
-  for (std::size_t i = 0; i < survivors.size(); ++i) {
-    pending_ring_[i] = survivors[i];
-  }
-
-  // Hand the batch back in UID order (slot order is arbitrary): the fused
-  // kernel's op layout is then independent of the claim rotation.
-  std::sort(batch.begin(), batch.end(),
-            [this](std::size_t a, std::size_t b) {
-              return slots_[a].uid < slots_[b].uid;
-            });
   maybeAudit();
   return batch;
 }

@@ -35,6 +35,7 @@
 
 #include "common/tenant.hpp"
 #include "ddt/layout.hpp"
+#include "gpu/gpu.hpp"
 #include "gpu/memory.hpp"
 
 namespace dkf::core {
@@ -58,6 +59,14 @@ struct FusionRequest {
 
   std::size_t bytes() const { return layout ? layout->size() : 0; }
 };
+
+/// The kernel op that carries out `req`: one per request of a fused kernel,
+/// the only op of a GPU-Sync or GPU-Async kernel.
+gpu::Gpu::Op kernelOp(const FusionRequest& req);
+
+/// Carry out `req`'s data movement on the host: the GDRCopy and staged-copy
+/// schemes, and a fused batch whose launches keep failing.
+void moveOnHost(const FusionRequest& req);
 
 class RequestList {
  public:
@@ -84,24 +93,15 @@ class RequestList {
   bool empty() const { return occupied_ == 0; }
 
   /// ① Insert at Tail. Returns the assigned UID, or -1 if the list is full
-  /// (caller falls back). The entry starts in Pending. O(1).
-  std::int64_t tryEnqueue(FusionRequest req);
+  /// (caller falls back). Takes `req` only when it accepts it: a rejected
+  /// request is left intact for the fallback path. The entry starts in
+  /// Pending. O(1).
+  std::int64_t tryEnqueue(FusionRequest&& req);
 
   /// Collect up to `max_requests` pending slot indices (oldest first) and
   /// mark them Busy — the batch for one fused kernel (② in Fig. 5).
   /// O(batch size).
   std::vector<std::size_t> claimPendingBatch(std::size_t max_requests);
-
-  /// Weighted-fair claim (MODEL.md §14): pick up to `max_requests` pending
-  /// entries by deficit round robin over tenants — per visit a tenant's
-  /// credit grows by quantum_bytes x its weight and pays per claimed byte,
-  /// so an oversubscribed batch drains tenants in proportion to their
-  /// weights instead of arrival order. Within a tenant, oldest first; the
-  /// returned batch is in UID order. Degenerates to claimPendingBatch when
-  /// everything pending fits in one batch. O(pending).
-  std::vector<std::size_t> claimPendingBatchWeighted(
-      std::size_t max_requests, const TenantWeights& weights,
-      std::size_t quantum_bytes);
 
   /// ③ GPU-side completion: the fused kernel signals a request by writing
   /// its response status (no host synchronization involved). O(1).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ddt/pack.hpp"
-
 namespace dkf::core {
 
 FusionScheduler::FusionScheduler(sim::Engine& eng, sim::CpuTimeline& cpu,
@@ -34,7 +32,7 @@ void FusionScheduler::traceBacklog() {
                    static_cast<double>(list_.pendingCount()));
 }
 
-sim::Task<std::int64_t> FusionScheduler::enqueue(FusionRequest req) {
+sim::Task<std::int64_t> FusionScheduler::enqueue(FusionRequest&& req) {
   co_await cpu_->busy(policy_.enqueue_cost);
   const std::int64_t uid = list_.tryEnqueue(std::move(req));
   if (uid < 0) {
@@ -84,11 +82,7 @@ DurationNs FusionScheduler::retryBackoff(std::size_t attempt) const {
 
 sim::Task<void> FusionScheduler::launchBatch() {
   const std::vector<std::size_t> batch =
-      policy_.weighted_fair
-          ? list_.claimPendingBatchWeighted(policy_.max_requests_per_kernel,
-                                            policy_.tenant_weights,
-                                            policy_.fair_quantum_bytes)
-          : list_.claimPendingBatch(policy_.max_requests_per_kernel);
+      list_.claimPendingBatch(policy_.max_requests_per_kernel);
   if (batch.empty()) co_return;
 
   std::size_t batch_bytes = 0;
@@ -109,24 +103,7 @@ sim::Task<void> FusionScheduler::launchBatch() {
   std::vector<gpu::Gpu::Op> op_templates;
   op_templates.reserve(batch.size());
   for (const std::size_t slot_index : batch) {
-    FusionRequest& r = list_.slot(slot_index);
-    gpu::Gpu::Op op;
-    switch (r.op) {
-      case FusionOp::Packing:
-        op.kind = gpu::Gpu::Op::Kind::Pack;
-        break;
-      case FusionOp::Unpacking:
-        op.kind = gpu::Gpu::Op::Kind::Unpack;
-        break;
-      case FusionOp::DirectIPC:
-        op.kind = gpu::Gpu::Op::Kind::StridedCopy;
-        op.dst_layout = r.target_layout;
-        break;
-    }
-    op.layout = r.layout;
-    op.src = r.origin.bytes;
-    op.dst = r.target.bytes;
-    op_templates.push_back(std::move(op));
+    op_templates.push_back(kernelOp(list_.slot(slot_index)));
   }
   const auto build_ops = [&op_templates] {
     std::vector<gpu::Gpu::Op> ops;
@@ -194,19 +171,7 @@ sim::Task<void> FusionScheduler::runBatchOnCpu(
   co_await cpu_->busy(cost);
   breakdown_.pack_unpack += cost;
   for (const std::size_t slot_index : batch) {
-    FusionRequest& r = list_.slot(slot_index);
-    switch (r.op) {
-      case FusionOp::Packing:
-        ddt::packCpu(*r.layout, r.origin.bytes, r.target.bytes);
-        break;
-      case FusionOp::Unpacking:
-        ddt::unpackCpu(*r.layout, r.origin.bytes, r.target.bytes);
-        break;
-      case FusionOp::DirectIPC:
-        ddt::copyStrided(*r.layout, r.origin.bytes, *r.target_layout,
-                         r.target.bytes);
-        break;
-    }
+    moveOnHost(list_.slot(slot_index));
     list_.signalCompletion(slot_index);
     ++counters_.cpu_fallback_requests;
   }

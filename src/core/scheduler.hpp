@@ -67,15 +67,6 @@ struct FusionPolicy {
   DurationNs max_launch_retry_backoff{ms(2)};
   /// Host-side streaming rate (bytes/ns) of the degraded CPU pack path.
   double cpu_fallback_bytes_per_ns{4.0};
-
-  // ---- Multi-tenant serving plane (MODEL.md §14) ----
-  /// Claim fused batches by deficit round robin over tenants (weighted by
-  /// `tenant_weights`) instead of global FIFO order. Off (default) keeps
-  /// the seed claim byte-identical.
-  bool weighted_fair{false};
-  TenantWeights tenant_weights{};
-  /// DRR credit per tenant per claim rotation, in bytes.
-  std::size_t fair_quantum_bytes{64 * 1024};
 };
 
 /// Lifetime counters of the scheduler's hot path. The batch-size histogram
@@ -109,9 +100,10 @@ class FusionScheduler {
   void setTracer(sim::Tracer* tracer, const std::string& name = "fusion");
 
   /// ① Enqueue an operation; returns its UID or a negative value when the
-  /// request list is full. Charges the enqueue CPU cost and, if the fusion
+  /// request list is full, leaving a rejected `req` intact for the caller's
+  /// fallback path. Charges the enqueue CPU cost and, if the fusion
   /// condition is now met, launches the fused kernel (scenario 2 of §IV-C).
-  sim::Task<std::int64_t> enqueue(FusionRequest req);
+  sim::Task<std::int64_t> enqueue(FusionRequest&& req);
 
   /// Launch whatever is pending immediately — scenario 1 of §IV-C: the
   /// progress engine has no more operations and reached a synchronization

@@ -38,7 +38,6 @@
 #include "core/threshold_model.hpp"  // future-work threshold prediction
 
 // DDT-processing schemes (the evaluation's contenders)
-#include "schemes/adaptive_gdr.hpp"
 #include "schemes/cpu_gpu_hybrid.hpp"
 #include "schemes/ddt_engine.hpp"
 #include "schemes/factory.hpp"

@@ -116,7 +116,7 @@ gpu::MemSpan blockSpan(const gpu::MemSpan& buf, const BlockView& bv) {
 /// among `views` through the per-rank PlanCache. The per-peer loop that
 /// follows then binds the one cached CompiledPlan per signature instead of
 /// re-running the solver for every destination — the "compile once per
-/// hop" contract of MODEL.md §12. (Proc::planFor builds the identical
+/// hop" contract of MODEL.md §12. (Proc::planRequest builds the identical
 /// single-op plan, so its cache key matches these entries exactly.)
 void warmBlockPlans(Proc& proc, core::FusionOp op,
                     const std::vector<BlockView>& views) {

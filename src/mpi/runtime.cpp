@@ -25,11 +25,6 @@ Proc::Proc(Runtime& rt, int rank, gpu::Gpu& gpu)
   if (cfg.tuned_max_requests > 0) {
     tuned.max_requests_per_kernel = cfg.tuned_max_requests;
   }
-  if (cfg.weighted_fair_batching) {
-    tuned.weighted_fair = true;
-    tuned.tenant_weights = cfg.contention.weights;
-    tuned.fair_quantum_bytes = cfg.contention.quantum_bytes;
-  }
   engine_ = schemes::makeEngine(cfg.scheme, rt.engine(), *cpu_, gpu, tuned);
 }
 
@@ -120,10 +115,11 @@ void Proc::freeDevice(const gpu::MemSpan& span) {
   gpu_->memory().deallocate(span);
 }
 
-core::CompiledPlanPtr Proc::planFor(core::FusionOp op,
-                                    const ddt::LayoutPtr& layout,
-                                    const ddt::LayoutPtr& target_layout,
-                                    TenantId tenant) {
+core::FusionRequest Proc::planRequest(core::FusionOp op,
+                                      const ddt::LayoutPtr& layout,
+                                      const ddt::LayoutPtr& target_layout,
+                                      gpu::MemSpan origin, gpu::MemSpan target,
+                                      TenantId tenant) {
   core::FusionPlan plan;
   switch (op) {
     case core::FusionOp::Packing:
@@ -136,8 +132,12 @@ core::CompiledPlanPtr Proc::planFor(core::FusionOp op,
       plan.addStridedCopy(layout, target_layout);
       break;
   }
-  return schemes::compilePlanCached(plan_cache_, plan, rt_->config().scheme,
-                                    gpu_->nodeSpec(), tenant);
+  const core::CompiledPlanPtr compiled = schemes::compilePlanCached(
+      plan_cache_, plan, rt_->config().scheme, gpu_->nodeSpec(), tenant);
+  core::FusionRequest req =
+      compiled->steps.front().bind(layout, target_layout, origin, target);
+  req.tenant = tenant;
+  return req;
 }
 
 RequestPtr Proc::makeRequest(Request::Kind kind, gpu::MemSpan buf,
@@ -154,7 +154,6 @@ RequestPtr Proc::makeRequest(Request::Kind kind, gpu::MemSpan buf,
   req->layout = layout;
   req->data_bytes = layout->size();
   req->is_contiguous = layout->isContiguous() && layout->minOffset() == 0;
-  req->tenant = current_tenant_;
   req->posted_at = rt_->engine().now();
   return req;
 }
@@ -178,11 +177,9 @@ sim::Task<void> Proc::activateSend(RequestPtr req) {
                     "non-contiguous send buffers must be GPU-resident");
       req->staging = allocDevice(req->data_bytes);
       req->staging_owned = true;
-      const auto plan =
-          planFor(core::FusionOp::Packing, req->layout, nullptr, req->tenant);
-      engine_->setActiveTenant(req->tenant);
-      req->ticket = co_await engine_->submitPlanStep(
-          *plan, 0, req->layout, nullptr, req->user_buf, req->staging);
+      req->ticket = co_await engine_->submit(
+          planRequest(core::FusionOp::Packing, req->layout, nullptr,
+                      req->user_buf, req->staging, req->tenant));
       if (engine_->done(req->ticket)) {
         req->ticket = {};
       } else {
@@ -693,12 +690,9 @@ void Proc::finishRecvData(RequestPtr recv) {
     return;
   }
   engine().spawn([](Proc& p, RequestPtr r) -> sim::Task<void> {
-    const auto plan = p.planFor(core::FusionOp::Unpacking, r->layout,
-                                nullptr, r->tenant);
-    p.engine_->setActiveTenant(r->tenant);
-    r->ticket = co_await p.engine_->submitPlanStep(*plan, 0, r->layout,
-                                                   nullptr, r->staging,
-                                                   r->user_buf);
+    r->ticket = co_await p.engine_->submit(
+        p.planRequest(core::FusionOp::Unpacking, r->layout, nullptr,
+                      r->staging, r->user_buf, r->tenant));
     if (p.engine_->done(r->ticket)) {
       r->ticket = {};
       p.finishTicketedRecv(r);
@@ -718,11 +712,9 @@ void Proc::releaseStaging(Request& req) {
 
 sim::Task<void> Proc::tryDirect(RequestPtr recv) {
   const Request& sender = *recv->paired;
-  const auto plan = planFor(core::FusionOp::DirectIPC, sender.layout,
-                            recv->layout, recv->tenant);
-  engine_->setActiveTenant(recv->tenant);
-  const auto t = co_await engine_->submitPlanStep(
-      *plan, 0, sender.layout, recv->layout, sender.user_buf, recv->user_buf);
+  const auto t = co_await engine_->submit(
+      planRequest(core::FusionOp::DirectIPC, sender.layout, recv->layout,
+                  sender.user_buf, recv->user_buf, recv->tenant));
   if (!t.valid()) {
     recv->direct_retry = true;  // request list full: retry on next pass
     markDirty(recv);
@@ -1025,11 +1017,8 @@ sim::Task<void> Proc::pack(gpu::MemSpan origin, ddt::DatatypePtr type,
   co_await cpu_->busy(rt_->config().call_overhead);
   auto layout = layout_cache_.get(type, count);
   DKF_CHECK(packed.size() >= layout->size());
-  const auto plan =
-      planFor(core::FusionOp::Packing, layout, nullptr, current_tenant_);
-  engine_->setActiveTenant(current_tenant_);
-  const auto t = co_await engine_->submitPlanStep(*plan, 0, layout, nullptr,
-                                                  origin, packed);
+  const auto t = co_await engine_->submit(
+      planRequest(core::FusionOp::Packing, layout, nullptr, origin, packed));
   co_await waitTicket(t);
 }
 
@@ -1038,11 +1027,8 @@ sim::Task<void> Proc::unpack(gpu::MemSpan packed, gpu::MemSpan origin,
   co_await cpu_->busy(rt_->config().call_overhead);
   auto layout = layout_cache_.get(type, count);
   DKF_CHECK(packed.size() >= layout->size());
-  const auto plan =
-      planFor(core::FusionOp::Unpacking, layout, nullptr, current_tenant_);
-  engine_->setActiveTenant(current_tenant_);
-  const auto t = co_await engine_->submitPlanStep(*plan, 0, layout, nullptr,
-                                                  packed, origin);
+  const auto t = co_await engine_->submit(
+      planRequest(core::FusionOp::Unpacking, layout, nullptr, packed, origin));
   co_await waitTicket(t);
 }
 

@@ -100,10 +100,6 @@ struct RuntimeConfig {
   /// with reliability on); with admission on and data loss injected,
   /// reliability must also be on, or tokens leak with the lost payloads.
   std::size_t tenant_inflight_limit{0};
-  /// Weighted fair batching in the fusion scheduler: when a fused batch is
-  /// claimed, pending requests are taken per-tenant in proportion to the
-  /// contention weights instead of strict FIFO order.
-  bool weighted_fair_batching{false};
 };
 
 class Runtime;
@@ -198,11 +194,6 @@ class Proc {
   const TransportCounters& transport() const { return transport_; }
 
   // ---- Multi-tenant serving plane (MODEL.md §14) ----
-  /// Tenant stamped onto requests issued from now on by this rank's
-  /// application code (isend/irecv/...); SendSpec::tenant overrides per
-  /// entry in the batch front door.
-  void setTenant(TenantId t) { current_tenant_ = t; }
-  TenantId tenant() const { return current_tenant_; }
   /// Per-tenant admission/serving counters (index = tenant id; may be
   /// shorter than the tenant count if high tenants never sent).
   const std::vector<TenantStats>& tenantStats() const {
@@ -346,15 +337,18 @@ class Proc {
   RequestPtr makeRequest(Request::Kind kind, gpu::MemSpan buf,
                          const ddt::DatatypePtr& type, std::size_t count,
                          int peer, int tag);
-  /// Compiled plan for a single-op sequence over `layout` (and, for
-  /// DirectIPC, `target_layout`) — memoized in the per-rank plan cache, so
-  /// repeat-layout traffic compiles once per canonical signature and the
-  /// engine executes the cached template. Host-side memoization like
-  /// LayoutCache: charges no virtual time.
-  core::CompiledPlanPtr planFor(core::FusionOp op,
-                                const ddt::LayoutPtr& layout,
-                                const ddt::LayoutPtr& target_layout = nullptr,
-                                TenantId tenant = kDefaultTenant);
+  /// One operation of a message as a DDT-engine request: the compiled
+  /// plan for a single-op sequence over `layout` (and, for DirectIPC,
+  /// `target_layout`), memoized in the per-rank plan cache, with its step
+  /// bound to the live buffers and stamped with `tenant`. Repeat-layout
+  /// traffic compiles once per canonical signature and the engine executes
+  /// the cached template. Host-side memoization like LayoutCache: charges
+  /// no virtual time.
+  core::FusionRequest planRequest(core::FusionOp op,
+                                  const ddt::LayoutPtr& layout,
+                                  const ddt::LayoutPtr& target_layout,
+                                  gpu::MemSpan origin, gpu::MemSpan target,
+                                  TenantId tenant = kDefaultTenant);
   /// Per-tenant state slot (grown on demand).
   TenantStats& tenantState(TenantId t);
   /// Block until the request's tenant is under its inflight window, then
@@ -413,7 +407,6 @@ class Proc {
   int next_collective_tag_{kCollectiveTagBase};
 
   // Multi-tenant serving plane.
-  TenantId current_tenant_{kDefaultTenant};
   std::vector<TenantStats> tenant_stats_;
 
   // Request control blocks recycle through a per-rank arena

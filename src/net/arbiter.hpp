@@ -3,9 +3,9 @@
 // A LinkBatcher serves parked deliveries under one of two head policies:
 //
 //   Fifo  the seed policy — one global FIFO per link, exact reserved-seq
-//         arming, byte-identical to eager scheduling at window 0. The
-//         default everywhere; every existing golden/conformance suite runs
-//         on it unchanged.
+//         arming, byte-identical to eager scheduling. The default
+//         everywhere; every existing golden/conformance suite runs on it
+//         unchanged.
 //
 //   Drr   deficit round robin over per-tenant per-link queues. Each tenant
 //         parks its deliveries in its own queue (per-tenant delivery times

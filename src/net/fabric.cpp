@@ -25,7 +25,7 @@ LinkBatcher& Fabric::batcherBetween(int src_node, int dst_node) {
   auto& slot = batchers_[static_cast<std::size_t>(src_node) * nodes_ +
                          static_cast<std::size_t>(dst_node)];
   if (!slot) {
-    slot = std::make_unique<LinkBatcher>(*eng_, batch_window_);
+    slot = std::make_unique<LinkBatcher>(*eng_);
     if (contention_.enabled) {
       ArbiterConfig cfg;
       cfg.policy = ArbiterPolicy::Drr;
@@ -91,14 +91,6 @@ std::size_t Fabric::batchedArmedEvents() const {
   std::size_t total = 0;
   for (const auto& b : batchers_) {
     if (b) total += b->armedEvents();
-  }
-  return total;
-}
-
-std::size_t Fabric::coalescedDeliveries() const {
-  std::size_t total = 0;
-  for (const auto& b : batchers_) {
-    if (b) total += b->coalescedDeliveries();
   }
   return total;
 }

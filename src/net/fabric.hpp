@@ -122,16 +122,9 @@ class Fabric {
   /// detach (the default: a loss-free fabric).
   void setFaultPlan(fault::FaultPlan* plan) { faults_ = plan; }
 
-  /// Coalescing window applied by every link's batcher. 0 (default) is
-  /// exact; > 0 models NIC interrupt moderation (link_batcher.hpp). Only
-  /// meaningful before traffic: a batcher takes the window when its
-  /// channel first carries a message.
-  void setBatchWindow(DurationNs w) { batch_window_ = w; }
-
   // Aggregate batcher counters (bench/tests).
   std::size_t batchedDeliveries() const;
   std::size_t batchedArmedEvents() const;
-  std::size_t coalescedDeliveries() const;
 
   /// Enable the multi-tenant contention model: shared-bandwidth links and
   /// DRR batchers. Only meaningful before traffic (links and batchers are
@@ -172,7 +165,6 @@ class Fabric {
   fault::FaultPlan* faults_{nullptr};
   hw::MachineSpec machine_;
   std::size_t nodes_;
-  DurationNs batch_window_{ns(0)};
   ContentionConfig contention_{};
   // Declared before links_/batchers_: parked batcher deliveries hold
   // payload refs, so the pool must be destroyed after them.

@@ -43,7 +43,7 @@ void LinkBatcher::arm() {
   const Entry& head = fifo_.front();
   armed_ = true;
   ++armed_events_;
-  eng_->scheduleAtSeq(head.time + window_, head.seq, [this] { fire(); });
+  eng_->scheduleAtSeq(head.time, head.seq, [this] { fire(); });
 }
 
 void LinkBatcher::fire() {
@@ -58,10 +58,7 @@ void LinkBatcher::fire() {
   std::size_t run = 1;
   while (!fifo_.empty()) {
     const Entry& next = fifo_.front();
-    const bool joins = window_ > 0
-                           ? next.time <= now
-                           : next.time == now && next.seq == prev_seq + 1;
-    if (!joins) break;
+    if (next.time != now || next.seq != prev_seq + 1) break;
     Entry e = std::move(fifo_.front());
     fifo_.pop_front();
     prev_seq = e.seq;
@@ -99,7 +96,7 @@ void LinkBatcher::armDrr() {
   armed_time_ = head;
   const std::uint64_t gen = ++arm_generation_;
   ++armed_events_;
-  eng_->scheduleAt(head + window_, [this, gen] { fireDrr(gen); });
+  eng_->scheduleAt(head, [this, gen] { fireDrr(gen); });
 }
 
 void LinkBatcher::fireDrr(std::uint64_t generation) {

@@ -20,8 +20,8 @@
 // because no foreign event can sit between them in the total order (seqs
 // are unique, everything ordered before (t, s+1) has already run, and
 // events scheduled from inside the current event get strictly larger seqs).
-// With the default window of 0 the batched event stream is byte-identical
-// to the unbatched one.
+// The batched event stream is therefore byte-identical to the unbatched
+// one.
 //
 // DRR policy (setArbiter with ArbiterPolicy::Drr). Deliveries park in
 // per-tenant queues (each provably time-sorted: both wire models make a
@@ -32,11 +32,6 @@
 // delivery time); the policy decides ordering among same-instant ripe
 // entries and keeps the engine queue collapsed to one event per busy link
 // even when the global delivery stream is not monotone.
-//
-// Window. An optional coalescing window W > 0 delivers every parked entry
-// with time <= head.time + W at head.time + W — NIC interrupt moderation.
-// That trades exact per-message timing (bounded by W) for fewer events and
-// is OFF by default; everything that gates on byte-identity keeps W = 0.
 #pragma once
 
 #include <cstddef>
@@ -58,8 +53,7 @@ class LinkBatcher {
   /// owned eager snapshots, completion hooks) park here unchanged.
   using Callback = sim::EventCallback;
 
-  explicit LinkBatcher(sim::Engine& eng, DurationNs window = ns(0))
-      : eng_(&eng), window_(window) {}
+  explicit LinkBatcher(sim::Engine& eng) : eng_(&eng) {}
   LinkBatcher(const LinkBatcher&) = delete;
   LinkBatcher& operator=(const LinkBatcher&) = delete;
 
@@ -133,7 +127,6 @@ class LinkBatcher {
   static constexpr TimeNs kNever = ~TimeNs{0};
 
   sim::Engine* eng_;
-  const DurationNs window_;
   RingQueue<Entry> fifo_;
   bool armed_{false};
   bool firing_{false};

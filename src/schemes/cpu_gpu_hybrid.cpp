@@ -2,17 +2,20 @@
 
 #include <cmath>
 
-#include "ddt/pack.hpp"
-
 namespace dkf::schemes {
 
 CpuGpuHybridEngine::CpuGpuHybridEngine(sim::Engine& eng, sim::CpuTimeline& cpu,
-                                       gpu::Gpu& gpu, Tuning tuning)
-    : eng_(&eng),
-      cpu_(&cpu),
-      gpu_(&gpu),
+                                       gpu::Gpu& gpu, Tuning tuning,
+                                       std::string_view display_name)
+    : DdtEngine(eng, cpu, gpu),
       tuning_(tuning),
+      display_name_(display_name),
       gpu_path_(eng, cpu, gpu) {}
+
+void CpuGpuHybridEngine::setTracer(sim::Tracer* tracer) {
+  tracer_ = tracer;
+  if (tracer_ && tracer_->isEnabled()) track_ = tracer_->track(display_name_);
+}
 
 bool CpuGpuHybridEngine::usesCpuPath(const ddt::Layout& layout) const {
   if (!gpu_->nodeSpec().gdrcopy.available) return false;
@@ -20,10 +23,8 @@ bool CpuGpuHybridEngine::usesCpuPath(const ddt::Layout& layout) const {
          layout.blockCount() <= tuning_.cpu_max_blocks;
 }
 
-sim::Task<void> CpuGpuHybridEngine::cpuCopy(const ddt::Layout& layout,
-                                            bool is_pack,
-                                            std::span<const std::byte> src,
-                                            std::span<std::byte> dst) {
+sim::Task<void> CpuGpuHybridEngine::cpuCopy(const core::FusionRequest& req) {
+  const ddt::Layout& layout = *req.layout;
   const auto& gdr = gpu_->nodeSpec().gdrcopy;
   // Model [24]'s pipelined load/store loop: one BAR1 transaction setup,
   // streaming at the write-combined bandwidth, plus a fixed per-block cost.
@@ -35,47 +36,31 @@ sim::Task<void> CpuGpuHybridEngine::cpuCopy(const ddt::Layout& layout,
       tuning_.per_block_cost * static_cast<DurationNs>(layout.blockCount());
   co_await cpu_->busy(total);
   breakdown_.pack_unpack += total;
-  if (is_pack) {
-    ddt::packCpu(layout, src, dst);
-  } else {
-    ddt::unpackCpu(layout, src, dst);
-  }
+  core::moveOnHost(req);
 }
 
-sim::Task<Ticket> CpuGpuHybridEngine::submitPack(ddt::LayoutPtr layout,
-                                                 gpu::MemSpan origin,
-                                                 gpu::MemSpan packed) {
+sim::Task<Ticket> CpuGpuHybridEngine::submit(core::FusionRequest req) {
+  if (req.op == core::FusionOp::DirectIPC) co_return Ticket{};
   ++submissions_;
-  if (usesCpuPath(*layout)) {
+  const bool cpu_path = usesCpuPath(*req.layout);
+  if (tracer_ && tracer_->isEnabled()) {
+    tracer_->instant(track_,
+                     std::string(cpu_path ? "gdrcopy " : "gpu-sync ") +
+                         (req.op == core::FusionOp::Packing ? "pack"
+                                                            : "unpack") +
+                         "[" + std::to_string(req.bytes()) + " B]",
+                     eng_->now(), "hybrid");
+  }
+  if (cpu_path) {
     ++cpu_ops_;
-    co_await cpuCopy(*layout, /*is_pack=*/true, origin.bytes, packed.bytes);
-    co_return Ticket{next_id_++};
+    co_await cpuCopy(req);
+    co_return kFinished;
   }
   ++gpu_ops_;
-  co_await gpu_path_.submitPack(std::move(layout), origin, packed);
+  co_await gpu_path_.submit(std::move(req));
   breakdown_ += gpu_path_.breakdown();
   gpu_path_.breakdown().reset();
-  co_return Ticket{next_id_++};
-}
-
-sim::Task<Ticket> CpuGpuHybridEngine::submitUnpack(ddt::LayoutPtr layout,
-                                                   gpu::MemSpan packed,
-                                                   gpu::MemSpan origin) {
-  ++submissions_;
-  if (usesCpuPath(*layout)) {
-    ++cpu_ops_;
-    co_await cpuCopy(*layout, /*is_pack=*/false, packed.bytes, origin.bytes);
-    co_return Ticket{next_id_++};
-  }
-  ++gpu_ops_;
-  co_await gpu_path_.submitUnpack(std::move(layout), packed, origin);
-  breakdown_ += gpu_path_.breakdown();
-  gpu_path_.breakdown().reset();
-  co_return Ticket{next_id_++};
-}
-
-bool CpuGpuHybridEngine::done(const Ticket& t) {
-  return t.valid();  // both paths complete before returning
+  co_return kFinished;
 }
 
 }  // namespace dkf::schemes

@@ -6,16 +6,20 @@
 // layouts (per-block CPU loop cost) and large messages (BAR1 bandwidth).
 // On machines without GDRCopy (ABCI), every operation takes the GPU path.
 //
+// Built with the production library's tuning, the same engine is the
+// MVAPICH2-GDR baseline of Fig. 14 (§V-C: "the optimized scheme in
+// MVAPICH2-GDR, which adaptively uses CPU-GPU-Hybrid and GPU-Sync
+// schemes").
+//
 // Layout flattening is cached ([24]'s layout cache) by the MPI runtime; the
 // engine sees already-flattened layouts.
 #pragma once
 
-#include "gpu/gpu.hpp"
+#include <string>
+
 #include "hw/spec.hpp"
-#include "sim/cpu.hpp"
 #include "schemes/ddt_engine.hpp"
 #include "schemes/gpu_sync.hpp"
-#include "sim/engine.hpp"
 
 namespace dkf::schemes {
 
@@ -34,15 +38,17 @@ class CpuGpuHybridEngine final : public DdtEngine {
   using Tuning = HybridTuning;
 
   CpuGpuHybridEngine(sim::Engine& eng, sim::CpuTimeline& cpu, gpu::Gpu& gpu,
-                     Tuning tuning = {});
+                     Tuning tuning = {},
+                     std::string_view display_name = "CPU-GPU-Hybrid");
 
-  std::string_view name() const override { return "CPU-GPU-Hybrid"; }
+  std::string_view name() const override { return display_name_; }
 
-  sim::Task<Ticket> submitPack(ddt::LayoutPtr layout, gpu::MemSpan origin,
-                               gpu::MemSpan packed) override;
-  sim::Task<Ticket> submitUnpack(ddt::LayoutPtr layout, gpu::MemSpan packed,
-                                 gpu::MemSpan origin) override;
-  bool done(const Ticket& t) override;
+  /// Per-op routing decisions (GDRCopy vs. GPU-Sync kernel) are emitted as
+  /// instants on a track named after the engine.
+  void setTracer(sim::Tracer* tracer) override;
+
+  /// Returns kFinished: both paths complete before returning.
+  sim::Task<Ticket> submit(core::FusionRequest req) override;
 
   /// True if this layout takes the CPU (GDRCopy) path on this machine.
   bool usesCpuPath(const ddt::Layout& layout) const;
@@ -52,18 +58,15 @@ class CpuGpuHybridEngine final : public DdtEngine {
 
  private:
   /// Blocking CPU-driven gdrcopy pack/unpack; returns when bytes are moved.
-  sim::Task<void> cpuCopy(const ddt::Layout& layout, bool is_pack,
-                          std::span<const std::byte> src,
-                          std::span<std::byte> dst);
+  sim::Task<void> cpuCopy(const core::FusionRequest& req);
 
-  sim::Engine* eng_;
-  sim::CpuTimeline* cpu_;
-  gpu::Gpu* gpu_;
   Tuning tuning_;
+  std::string display_name_;
   GpuSyncEngine gpu_path_;
+  sim::Tracer* tracer_{nullptr};
+  std::uint32_t track_{0};
   std::size_t cpu_ops_{0};
   std::size_t gpu_ops_{0};
-  std::int64_t next_id_{0};
 };
 
 }  // namespace dkf::schemes

@@ -1,35 +1,34 @@
 #include "schemes/ddt_engine.hpp"
 
-#include <utility>
-
 #include "common/check.hpp"
 
 namespace dkf::schemes {
 
-sim::Task<Ticket> DdtEngine::submitDirect(ddt::LayoutPtr, gpu::MemSpan,
-                                          ddt::LayoutPtr, gpu::MemSpan) {
-  co_return Ticket{};  // not supported: caller falls back
+namespace {
+/// Kernel launches can fail under an injected FaultPlan; retry with
+/// doubling backoff before declaring the run broken.
+constexpr std::size_t kMaxLaunchAttempts = 10;
+constexpr DurationNs kLaunchRetryBackoff = us(2);
+}  // namespace
+
+bool DdtEngine::query(const Ticket& t) {
+  DKF_FAIL(name() << " finishes every operation at submit; ticket " << t.id
+                  << " was never issued");
 }
 
-sim::Task<Ticket> DdtEngine::submitPlanStep(const core::CompiledPlan& plan,
-                                            std::size_t step,
-                                            ddt::LayoutPtr live_layout,
-                                            ddt::LayoutPtr live_target,
-                                            gpu::MemSpan origin,
-                                            gpu::MemSpan target) {
-  DKF_CHECK(step < plan.steps.size());
-  const core::CompiledStep& s = plan.steps[step];
-  switch (s.op) {
-    case core::FusionOp::Packing:
-      co_return co_await submitPack(std::move(live_layout), origin, target);
-    case core::FusionOp::Unpacking:
-      co_return co_await submitUnpack(std::move(live_layout), origin, target);
-    case core::FusionOp::DirectIPC:
-      co_return co_await submitDirect(std::move(live_layout), origin,
-                                      std::move(live_target), target);
+sim::Task<gpu::Gpu::KernelHandle> DdtEngine::launchKernel(
+    gpu::Gpu::StreamId stream, const core::FusionRequest& req) {
+  const gpu::Gpu::Op op = core::kernelOp(req);
+  for (std::size_t attempt = 0;; ++attempt) {
+    co_await cpu_->busy(gpu_->spec().kernel_launch_overhead);
+    breakdown_.launching += gpu_->spec().kernel_launch_overhead;
+    gpu::Gpu::KernelHandle handle = gpu_->launchKernel(stream, op.clone());
+    if (!handle.failed) co_return handle;
+    DKF_CHECK_MSG(attempt + 1 < kMaxLaunchAttempts,
+                  name() << " kernel launch failed " << kMaxLaunchAttempts
+                         << " times in a row");
+    co_await eng_->delay(kLaunchRetryBackoff << attempt);
   }
-  DKF_CHECK_MSG(false, "unhandled FusionOp " << static_cast<int>(s.op));
-  co_return Ticket{};
 }
 
 sim::Task<void> DdtEngine::flush() { co_return; }

@@ -6,37 +6,55 @@
 //
 //   GpuSyncEngine       "GPU-Sync"        [8], [22]
 //   GpuAsyncEngine      "GPU-Async"       [23]
-//   CpuGpuHybridEngine  "CPU-GPU-Hybrid"  [24]
+//   CpuGpuHybridEngine  "CPU-GPU-Hybrid"  [24], and with the production
+//                       library's tuning "MVAPICH2-GDR" (hybrid / sync by
+//                       layout)
 //   NaiveCopyEngine     SpectrumMPI / OpenMPI per-block cudaMemcpyAsync
-//   AdaptiveGdrEngine   MVAPICH2-GDR adaptive (hybrid / sync by layout)
 //   FusionEngine        "Proposed" / "Proposed-Tuned" (this paper)
+//   HybridFusionEngine  "Proposed+Hybrid" (fusion + [24]'s GDRCopy path)
 //
-// Submissions are coroutines: a synchronous engine may block inside (that IS
-// its defining cost), an asynchronous one charges its CPU-side launch cost
-// and returns a ticket immediately. Every engine accumulates the Fig. 11
-// time-breakdown categories as it goes.
+// Every operation reaches an engine the same way: one request-list entry
+// (§IV-A1: operation, origin, target, cached layout, plus its tenant)
+// through submit(). The schemes differ only in when, and at what cost, they
+// carry it out. Submissions are coroutines: a synchronous engine may block
+// inside (that IS its defining cost), an asynchronous one charges its
+// CPU-side launch cost and returns a ticket immediately. Every engine
+// accumulates the Fig. 11 time-breakdown categories as it goes.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string_view>
 
 #include "common/stats.hpp"
 #include "common/tenant.hpp"
-#include "core/fusion_plan.hpp"
-#include "ddt/layout.hpp"
-#include "gpu/memory.hpp"
+#include "core/request_list.hpp"
+#include "gpu/gpu.hpp"
+#include "sim/cpu.hpp"
+#include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "sim/trace.hpp"
 
 namespace dkf::schemes {
 
-/// Handle to an asynchronous engine operation. Invalid tickets (negative id)
-/// mean the engine could not accept the operation (e.g. the fusion request
-/// list is full, §IV-A2 ①) and the caller must fall back.
+/// Handle to an engine operation. An invalid ticket (negative id) means the
+/// engine declined the operation — a DirectIPC copy on an engine without
+/// the capability, or one that found the fusion request list full — and
+/// the caller must fall back. kFinished marks an operation that was
+/// complete when submit() returned.
 struct Ticket {
+  /// The one id no engine issues for work still in flight.
+  static constexpr std::int64_t kFinishedId =
+      std::numeric_limits<std::int64_t>::max();
+
   std::int64_t id{-1};
   bool valid() const { return id >= 0; }
+  bool finished() const { return id == kFinishedId; }
 };
+
+/// The ticket of an operation that finished at submit: done() answers it
+/// without a query.
+inline constexpr Ticket kFinished{Ticket::kFinishedId};
 
 class DdtEngine {
  public:
@@ -51,49 +69,28 @@ class DdtEngine {
   /// at the GPU/fabric layer.
   virtual void setTracer(sim::Tracer*) {}
 
-  /// Gather layout bytes of `origin` into contiguous `packed`.
-  virtual sim::Task<Ticket> submitPack(ddt::LayoutPtr layout,
-                                       gpu::MemSpan origin,
-                                       gpu::MemSpan packed) = 0;
+  /// Carry out one request: gather `layout` bytes of `origin` into
+  /// contiguous `target` (Packing), scatter contiguous `origin` into
+  /// `layout` bytes of `target` (Unpacking), or copy between two
+  /// non-contiguous buffers (DirectIPC, `target_layout` on the target
+  /// side). Engines without the DirectIPC capability decline it with an
+  /// invalid ticket; the runtime then falls back to pack + transfer +
+  /// unpack.
+  virtual sim::Task<Ticket> submit(core::FusionRequest req) = 0;
 
-  /// Scatter contiguous `packed` into layout bytes of `origin`.
-  virtual sim::Task<Ticket> submitUnpack(ddt::LayoutPtr layout,
-                                         gpu::MemSpan packed,
-                                         gpu::MemSpan origin) = 0;
-
-  /// True if submitDirect() can succeed on this engine. The runtime only
+  /// True if submit() can carry out a DirectIPC request. The runtime only
   /// offers the DirectIPC path to capable engines, so the sender never
   /// skips packing for a receiver that cannot strided-copy.
   virtual bool supportsDirect() const { return false; }
 
-  /// Direct strided copy between two non-contiguous device buffers over
-  /// NVLink/PCIe (the DirectIPC operation of [24]). Engines without the
-  /// capability return an invalid ticket; the runtime then falls back to
-  /// pack + transfer + unpack.
-  virtual sim::Task<Ticket> submitDirect(ddt::LayoutPtr src_layout,
-                                         gpu::MemSpan src,
-                                         ddt::LayoutPtr dst_layout,
-                                         gpu::MemSpan dst);
-
-  /// Execute one step of a compiled FusionPlan with this message's live
-  /// layouts and buffers (`live_target` is the DirectIPC destination layout,
-  /// nullptr otherwise). The live layouts may differ in count from the
-  /// plan's declared ones — compiled plans are count-independent. The
-  /// default dispatches to the submit* entry points; engines with their own
-  /// request machinery (FusionEngine) override for a template-bound path.
-  /// DirectIPC steps keep submitDirect's contract: an engine without the
-  /// capability returns an invalid ticket and the caller falls back.
-  virtual sim::Task<Ticket> submitPlanStep(const core::CompiledPlan& plan,
-                                           std::size_t step,
-                                           ddt::LayoutPtr live_layout,
-                                           ddt::LayoutPtr live_target,
-                                           gpu::MemSpan origin,
-                                           gpu::MemSpan target);
-
-  /// Non-blocking completion check; may retire internal bookkeeping for
-  /// completed tickets (the fusion scheduler recycles the request slot).
-  /// Querying an already-retired ticket returns true.
-  virtual bool done(const Ticket& t) = 0;
+  /// Non-blocking completion check. An invalid ticket is never done and
+  /// kFinished always is; any other ticket is queried, which may retire
+  /// internal bookkeeping (the fusion scheduler recycles the request
+  /// slot). Querying an already-retired ticket returns true.
+  bool done(const Ticket& t) {
+    if (!t.valid()) return false;
+    return t.finished() || query(t);
+  }
 
   /// Advance internal machinery from the runtime's progress loop. Never
   /// suspends: folds internal cost counters into breakdown() and returns
@@ -131,18 +128,26 @@ class DdtEngine {
   /// Operations accepted since construction (pack + unpack + direct).
   std::size_t submissions() const { return submissions_; }
 
-  /// Tenant attribution for the NEXT submissions (MODEL.md §14). The
-  /// runtime sets this right before each submit*/submitPlanStep call;
-  /// engines with internal queues (FusionEngine) stamp it onto the
-  /// requests they enqueue so weighted-fair batching can tell tenants
-  /// apart. Engines without queues may ignore it.
-  void setActiveTenant(TenantId t) { active_tenant_ = t; }
-  TenantId activeTenant() const { return active_tenant_; }
-
  protected:
+  DdtEngine(sim::Engine& eng, sim::CpuTimeline& cpu, gpu::Gpu& gpu)
+      : eng_(&eng), cpu_(&cpu), gpu_(&gpu) {}
+
+  /// Completion of a ticket this engine issued that is neither invalid nor
+  /// kFinished. The default serves the engines that finish every operation
+  /// at submit: for them any such ticket was never issued.
+  virtual bool query(const Ticket& t);
+
+  /// Launch a one-op kernel carrying out `req` on `stream`, paying the
+  /// launch overhead on the CPU (Fig. 11 "launching") for every attempt.
+  /// Injected launch failures are retried with doubling backoff.
+  sim::Task<gpu::Gpu::KernelHandle> launchKernel(
+      gpu::Gpu::StreamId stream, const core::FusionRequest& req);
+
+  sim::Engine* eng_;
+  sim::CpuTimeline* cpu_;
+  gpu::Gpu* gpu_;
   TimeBreakdown breakdown_;
   std::size_t submissions_{0};
-  TenantId active_tenant_{kDefaultTenant};
 };
 
 }  // namespace dkf::schemes

@@ -2,17 +2,13 @@
 
 #include <utility>
 
-namespace dkf::schemes {
+#include "common/check.hpp"
 
-namespace {
-/// Injected launch failures (FaultPlan) are retried with doubling backoff.
-constexpr std::size_t kMaxLaunchAttempts = 10;
-constexpr DurationNs kLaunchRetryBackoff = us(2);
-}  // namespace
+namespace dkf::schemes {
 
 GpuAsyncEngine::GpuAsyncEngine(sim::Engine& eng, sim::CpuTimeline& cpu,
                                gpu::Gpu& gpu, std::size_t streams)
-    : eng_(&eng), cpu_(&cpu), gpu_(&gpu) {
+    : DdtEngine(eng, cpu, gpu) {
   DKF_CHECK(streams > 0);
   streams_.reserve(streams);
   for (std::size_t i = 0; i < streams; ++i) {
@@ -20,25 +16,14 @@ GpuAsyncEngine::GpuAsyncEngine(sim::Engine& eng, sim::CpuTimeline& cpu,
   }
 }
 
-sim::Task<Ticket> GpuAsyncEngine::launchOne(gpu::Gpu::Op op) {
+sim::Task<Ticket> GpuAsyncEngine::submit(core::FusionRequest req) {
+  if (req.op == core::FusionOp::DirectIPC) co_return Ticket{};
   ++submissions_;
   const gpu::Gpu::StreamId stream = streams_[next_stream_];
   next_stream_ = (next_stream_ + 1) % streams_.size();
 
   // Kernel launch (full overhead) ...
-  gpu::Gpu::KernelHandle handle;
-  for (std::size_t attempt = 0;; ++attempt) {
-    co_await cpu_->busy(gpu_->spec().kernel_launch_overhead);
-    breakdown_.launching += gpu_->spec().kernel_launch_overhead;
-    std::vector<gpu::Gpu::Op> ops;
-    ops.push_back(op.clone());
-    handle = gpu_->launchKernel(stream, std::move(ops));
-    if (!handle.failed) break;
-    DKF_CHECK_MSG(attempt + 1 < kMaxLaunchAttempts,
-                  "GPU-Async kernel launch failed " << kMaxLaunchAttempts
-                                                    << " times in a row");
-    co_await eng_->delay(kLaunchRetryBackoff << attempt);
-  }
+  const gpu::Gpu::KernelHandle handle = co_await launchKernel(stream, req);
   breakdown_.pack_unpack += handle.end - handle.start;
 
   // ... plus cudaEventRecord so completion can be tracked without a sync.
@@ -53,30 +38,7 @@ sim::Task<Ticket> GpuAsyncEngine::launchOne(gpu::Gpu::Op op) {
   co_return t;
 }
 
-sim::Task<Ticket> GpuAsyncEngine::submitPack(ddt::LayoutPtr layout,
-                                             gpu::MemSpan origin,
-                                             gpu::MemSpan packed) {
-  gpu::Gpu::Op op;
-  op.kind = gpu::Gpu::Op::Kind::Pack;
-  op.layout = std::move(layout);
-  op.src = origin.bytes;
-  op.dst = packed.bytes;
-  co_return co_await launchOne(std::move(op));
-}
-
-sim::Task<Ticket> GpuAsyncEngine::submitUnpack(ddt::LayoutPtr layout,
-                                               gpu::MemSpan packed,
-                                               gpu::MemSpan origin) {
-  gpu::Gpu::Op op;
-  op.kind = gpu::Gpu::Op::Kind::Unpack;
-  op.layout = std::move(layout);
-  op.src = packed.bytes;
-  op.dst = origin.bytes;
-  co_return co_await launchOne(std::move(op));
-}
-
-bool GpuAsyncEngine::done(const Ticket& t) {
-  if (!t.valid()) return false;
+bool GpuAsyncEngine::query(const Ticket& t) {
   // Issued ids are [0, next_id_); anything else was never submitted here
   // and "done" would be a phantom completion, not an already-retired one.
   DKF_CHECK_MSG(t.id < next_id_,

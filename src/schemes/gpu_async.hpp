@@ -10,10 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "gpu/gpu.hpp"
-#include "sim/cpu.hpp"
 #include "schemes/ddt_engine.hpp"
-#include "sim/engine.hpp"
 
 namespace dkf::schemes {
 
@@ -24,21 +21,14 @@ class GpuAsyncEngine final : public DdtEngine {
 
   std::string_view name() const override { return "GPU-Async"; }
 
-  sim::Task<Ticket> submitPack(ddt::LayoutPtr layout, gpu::MemSpan origin,
-                               gpu::MemSpan packed) override;
-  sim::Task<Ticket> submitUnpack(ddt::LayoutPtr layout, gpu::MemSpan packed,
-                                 gpu::MemSpan origin) override;
-  bool done(const Ticket& t) override;
+  sim::Task<Ticket> submit(core::FusionRequest req) override;
   DurationNs progress() override;
 
   std::size_t outstanding() const { return events_.size(); }
 
  private:
-  sim::Task<Ticket> launchOne(gpu::Gpu::Op op);
+  bool query(const Ticket& t) override;
 
-  sim::Engine* eng_;
-  sim::CpuTimeline* cpu_;
-  gpu::Gpu* gpu_;
   std::vector<gpu::Gpu::StreamId> streams_;
   std::size_t next_stream_{0};
   std::unordered_map<std::int64_t, gpu::Gpu::EventId> events_;

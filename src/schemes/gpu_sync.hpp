@@ -5,10 +5,7 @@
 // of the paper's Fig. 2.
 #pragma once
 
-#include "gpu/gpu.hpp"
-#include "sim/cpu.hpp"
 #include "schemes/ddt_engine.hpp"
-#include "sim/engine.hpp"
 
 namespace dkf::schemes {
 
@@ -18,20 +15,11 @@ class GpuSyncEngine final : public DdtEngine {
 
   std::string_view name() const override { return "GPU-Sync"; }
 
-  sim::Task<Ticket> submitPack(ddt::LayoutPtr layout, gpu::MemSpan origin,
-                               gpu::MemSpan packed) override;
-  sim::Task<Ticket> submitUnpack(ddt::LayoutPtr layout, gpu::MemSpan packed,
-                                 gpu::MemSpan origin) override;
-  bool done(const Ticket& t) override;
+  /// Returns kFinished: the kernel has completed by then.
+  sim::Task<Ticket> submit(core::FusionRequest req) override;
 
  private:
-  sim::Task<Ticket> runOne(gpu::Gpu::Op op);
-
-  sim::Engine* eng_;
-  sim::CpuTimeline* cpu_;
-  gpu::Gpu* gpu_;
   gpu::Gpu::StreamId stream_;
-  std::int64_t next_id_{0};
 };
 
 }  // namespace dkf::schemes

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
-
 namespace dkf::schemes {
 
 namespace {
@@ -24,83 +22,25 @@ HybridFusionEngine::HybridFusionEngine(sim::Engine& eng, sim::CpuTimeline& cpu,
                                        gpu::Gpu& gpu,
                                        core::FusionPolicy policy,
                                        HybridTuning tuning)
-    : eng_(&eng),
-      cpu_path_(eng, cpu, gpu, combinedTuning(tuning)),
+    : DdtEngine(eng, cpu, gpu),
+      cpu_path_(eng, cpu, gpu, combinedTuning(tuning), "Proposed+Hybrid.cpu"),
       fusion_path_(eng, cpu, gpu, policy, "Proposed+Hybrid") {}
 
 void HybridFusionEngine::setTracer(sim::Tracer* tracer) {
-  tracer_ = tracer;
+  cpu_path_.setTracer(tracer);
   fusion_path_.setTracer(tracer);
-  if (tracer_ && tracer_->isEnabled()) {
-    cpu_track_ = tracer_->track("Proposed+Hybrid.cpu");
-  }
 }
 
-Ticket HybridFusionEngine::tagCpu(Ticket t) {
-  if (!t.valid()) return t;
-  DKF_CHECK_MSG(t.id < kCpuTag, "CPU-path ticket id overflows the tag space");
-  return Ticket{t.id | kCpuTag};
-}
-
-Ticket HybridFusionEngine::checkedFusion(Ticket t) {
-  DKF_CHECK_MSG((t.id & kCpuTag) == 0,
-                "fusion-path ticket " << t.id
-                                      << " collides with the CPU tag bit");
-  return t;
-}
-
-sim::Task<Ticket> HybridFusionEngine::submitPack(ddt::LayoutPtr layout,
-                                                 gpu::MemSpan origin,
-                                                 gpu::MemSpan packed) {
+sim::Task<Ticket> HybridFusionEngine::submit(core::FusionRequest req) {
   ++submissions_;
-  if (cpu_path_.usesCpuPath(*layout)) {
-    if (tracer_ && tracer_->isEnabled()) {
-      tracer_->instant(cpu_track_,
-                       "cpu pack[" + std::to_string(layout->size()) + " B]",
-                       eng_->now(), "hybrid");
-    }
-    Ticket t = co_await cpu_path_.submitPack(std::move(layout), origin, packed);
+  if (req.op != core::FusionOp::DirectIPC &&
+      cpu_path_.usesCpuPath(*req.layout)) {
+    const Ticket t = co_await cpu_path_.submit(std::move(req));
     breakdown_ += cpu_path_.breakdown();
     cpu_path_.breakdown().reset();
-    co_return tagCpu(t);
+    co_return t;
   }
-  co_return checkedFusion(co_await fusion_path_.submitPack(std::move(layout),
-                                                           origin, packed));
-}
-
-sim::Task<Ticket> HybridFusionEngine::submitUnpack(ddt::LayoutPtr layout,
-                                                   gpu::MemSpan packed,
-                                                   gpu::MemSpan origin) {
-  ++submissions_;
-  if (cpu_path_.usesCpuPath(*layout)) {
-    if (tracer_ && tracer_->isEnabled()) {
-      tracer_->instant(cpu_track_,
-                       "cpu unpack[" + std::to_string(layout->size()) + " B]",
-                       eng_->now(), "hybrid");
-    }
-    Ticket t =
-        co_await cpu_path_.submitUnpack(std::move(layout), packed, origin);
-    breakdown_ += cpu_path_.breakdown();
-    cpu_path_.breakdown().reset();
-    co_return tagCpu(t);
-  }
-  co_return checkedFusion(co_await fusion_path_.submitUnpack(std::move(layout),
-                                                             packed, origin));
-}
-
-sim::Task<Ticket> HybridFusionEngine::submitDirect(ddt::LayoutPtr src_layout,
-                                                   gpu::MemSpan src,
-                                                   ddt::LayoutPtr dst_layout,
-                                                   gpu::MemSpan dst) {
-  ++submissions_;
-  co_return checkedFusion(co_await fusion_path_.submitDirect(
-      std::move(src_layout), src, std::move(dst_layout), dst));
-}
-
-bool HybridFusionEngine::done(const Ticket& t) {
-  if (!t.valid()) return false;
-  if (t.id & kCpuTag) return true;  // CPU path completes synchronously
-  return fusion_path_.done(t);
+  co_return co_await fusion_path_.submit(std::move(req));
 }
 
 void HybridFusionEngine::foldBreakdown() {

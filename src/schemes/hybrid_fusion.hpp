@@ -30,39 +30,26 @@ class HybridFusionEngine final : public DdtEngine {
   /// routing decisions are emitted as instants on "Proposed+Hybrid.cpu".
   void setTracer(sim::Tracer* tracer) override;
 
-  sim::Task<Ticket> submitPack(ddt::LayoutPtr layout, gpu::MemSpan origin,
-                               gpu::MemSpan packed) override;
-  sim::Task<Ticket> submitUnpack(ddt::LayoutPtr layout, gpu::MemSpan packed,
-                                 gpu::MemSpan origin) override;
+  /// A CPU-path request returns kFinished; the rest take the fusion path.
+  sim::Task<Ticket> submit(core::FusionRequest req) override;
   bool supportsDirect() const override { return true; }
-  sim::Task<Ticket> submitDirect(ddt::LayoutPtr src_layout, gpu::MemSpan src,
-                                 ddt::LayoutPtr dst_layout,
-                                 gpu::MemSpan dst) override;
-  bool done(const Ticket& t) override;
   void foldBreakdown() override;
   bool flushPending() const override { return fusion_path_.flushPending(); }
   sim::Task<void> flush() override;
+  /// Only the fusion path batches: its pending requests carry their
+  /// tenants.
+  bool hasPendingFusedWork(TenantId tenant) const override {
+    return fusion_path_.hasPendingFusedWork(tenant);
+  }
 
   std::size_t cpuPathOps() const { return cpu_path_.cpuPathOps(); }
   std::size_t fusedOps() const { return fusion_path_.submissions(); }
 
-  /// CPU-path tickets carry this tag bit; the two id spaces are disjoint
-  /// BY CONSTRUCTION, not by magnitude: fusion-path ids (request-list UIDs
-  /// and the fallback range at 2^62) never set bit 61, which done() checks,
-  /// so a long run can never alias a fusion ticket into the CPU space the
-  /// way a plain `id >= base` comparison eventually would.
-  static constexpr std::int64_t kCpuTag = std::int64_t{1} << 61;
-
  private:
-  /// Tag a CPU-path ticket / assert a fusion-path ticket stays untagged.
-  static Ticket tagCpu(Ticket t);
-  static Ticket checkedFusion(Ticket t);
+  bool query(const Ticket& t) override { return fusion_path_.done(t); }
 
-  sim::Engine* eng_;
   CpuGpuHybridEngine cpu_path_;
   FusionEngine fusion_path_;
-  sim::Tracer* tracer_{nullptr};
-  std::uint32_t cpu_track_{0};
 };
 
 }  // namespace dkf::schemes

@@ -1,18 +1,14 @@
 #include "schemes/naive_copy.hpp"
 
+#include <algorithm>
 #include <cmath>
-
-#include "ddt/pack.hpp"
 
 namespace dkf::schemes {
 
-NaiveCopyEngine::NaiveCopyEngine(sim::Engine& eng, sim::CpuTimeline& cpu,
-                                 gpu::Gpu& gpu)
-    : eng_(&eng), cpu_(&cpu), gpu_(&gpu) {}
-
-sim::Task<void> NaiveCopyEngine::perBlockCopies(
-    const ddt::Layout& layout, bool is_pack, std::span<const std::byte> src,
-    std::span<std::byte> dst) {
+sim::Task<Ticket> NaiveCopyEngine::submit(core::FusionRequest req) {
+  if (req.op == core::FusionOp::DirectIPC) co_return Ticket{};
+  ++submissions_;
+  const ddt::Layout& layout = *req.layout;
   const std::size_t blocks = std::max<std::size_t>(layout.blockCount(), 1);
   copy_calls_ += blocks;
 
@@ -41,31 +37,8 @@ sim::Task<void> NaiveCopyEngine::perBlockCopies(
   breakdown_.synchronize += held;
   co_await cpu_->busy(sync_cost);
 
-  if (is_pack) {
-    ddt::packCpu(layout, src, dst);
-  } else {
-    ddt::unpackCpu(layout, src, dst);
-  }
+  core::moveOnHost(req);
+  co_return kFinished;
 }
-
-sim::Task<Ticket> NaiveCopyEngine::submitPack(ddt::LayoutPtr layout,
-                                              gpu::MemSpan origin,
-                                              gpu::MemSpan packed) {
-  ++submissions_;
-  co_await perBlockCopies(*layout, /*is_pack=*/true, origin.bytes,
-                          packed.bytes);
-  co_return Ticket{next_id_++};
-}
-
-sim::Task<Ticket> NaiveCopyEngine::submitUnpack(ddt::LayoutPtr layout,
-                                                gpu::MemSpan packed,
-                                                gpu::MemSpan origin) {
-  ++submissions_;
-  co_await perBlockCopies(*layout, /*is_pack=*/false, packed.bytes,
-                          origin.bytes);
-  co_return Ticket{next_id_++};
-}
-
-bool NaiveCopyEngine::done(const Ticket& t) { return t.valid(); }
 
 }  // namespace dkf::schemes

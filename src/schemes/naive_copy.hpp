@@ -12,37 +12,24 @@
 // (the copies serialize on the same link) and the benchmark stays fast.
 #pragma once
 
-#include "gpu/gpu.hpp"
-#include "sim/cpu.hpp"
 #include "schemes/ddt_engine.hpp"
-#include "sim/engine.hpp"
 
 namespace dkf::schemes {
 
 class NaiveCopyEngine final : public DdtEngine {
  public:
-  NaiveCopyEngine(sim::Engine& eng, sim::CpuTimeline& cpu, gpu::Gpu& gpu);
+  NaiveCopyEngine(sim::Engine& eng, sim::CpuTimeline& cpu, gpu::Gpu& gpu)
+      : DdtEngine(eng, cpu, gpu) {}
 
   std::string_view name() const override { return "NaiveCopy(SpectrumMPI/OpenMPI)"; }
 
-  sim::Task<Ticket> submitPack(ddt::LayoutPtr layout, gpu::MemSpan origin,
-                               gpu::MemSpan packed) override;
-  sim::Task<Ticket> submitUnpack(ddt::LayoutPtr layout, gpu::MemSpan packed,
-                                 gpu::MemSpan origin) override;
-  bool done(const Ticket& t) override;
+  /// Returns kFinished: the copies have landed by then.
+  sim::Task<Ticket> submit(core::FusionRequest req) override;
 
   std::size_t copyCallsIssued() const { return copy_calls_; }
 
  private:
-  sim::Task<void> perBlockCopies(const ddt::Layout& layout, bool is_pack,
-                                 std::span<const std::byte> src,
-                                 std::span<std::byte> dst);
-
-  sim::Engine* eng_;
-  sim::CpuTimeline* cpu_;
-  gpu::Gpu* gpu_;
   std::size_t copy_calls_{0};
-  std::int64_t next_id_{0};
 };
 
 }  // namespace dkf::schemes

@@ -10,7 +10,7 @@
 // its engine executes every declared op on the given hardware through the
 // scheme's *defining* data path —
 //   - non-direct engines reject plans containing strided-copy (DirectIPC)
-//     steps (their submitDirect would bounce the op back to the caller);
+//     steps (their submit would decline the op back to the caller);
 //   - CPU-GPU-Hybrid rejects hardware without GDRCopy (its defining
 //     host-driven path does not exist there; the engine would silently run
 //     everything on its GPU-Sync escape hatch);

@@ -3,7 +3,7 @@
 // LinkBatcher coalescing semantics, and end-to-end determinism against
 // frozen golden digests — identical completions, bytes, virtual end time
 // and retransmissions, fault-free and under 12% loss, over eager,
-// rendezvous (RGet, RPut) and DirectIPC traffic.
+// rendezvous (RGet, RPut) and DirectIPC traffic and every DDT scheme.
 //
 // The determinism fuzz runs under bench::parallelFor; gtest assertions are
 // not thread-safe, so workers record failure strings and the main thread
@@ -223,25 +223,6 @@ TEST(MsgPlaneBatcher, ForeignEventBetweenReservedSeqsBlocksCoalescing) {
   EXPECT_EQ(batcher.coalescedDeliveries(), 0u);
 }
 
-TEST(MsgPlaneBatcher, WindowCoalescesNearbyTimesAtWindowEdge) {
-  sim::Engine eng;
-  net::LinkBatcher batcher(eng, ns(10));
-  std::vector<std::pair<int, TimeNs>> fired;
-  batcher.enqueue(100, [&] { fired.push_back({0, eng.now()}); });
-  batcher.enqueue(104, [&] { fired.push_back({1, eng.now()}); });
-  batcher.enqueue(109, [&] { fired.push_back({2, eng.now()}); });
-  batcher.enqueue(200, [&] { fired.push_back({3, eng.now()}); });
-  eng.run();
-  ASSERT_EQ(fired.size(), 4u);
-  // First three land together at head.time + W; the far one fires alone.
-  EXPECT_EQ(fired[0].second, 110u);
-  EXPECT_EQ(fired[1].second, 110u);
-  EXPECT_EQ(fired[2].second, 110u);
-  EXPECT_EQ(fired[3].second, 210u);
-  EXPECT_EQ(batcher.armedEvents(), 2u);
-  EXPECT_EQ(batcher.coalescedDeliveries(), 2u);
-}
-
 TEST(MsgPlaneBatcher, ReentrantEnqueueFromDeliveryIsDeferredNotLost) {
   sim::Engine eng;
   net::LinkBatcher batcher(eng);
@@ -257,6 +238,10 @@ TEST(MsgPlaneBatcher, ReentrantEnqueueFromDeliveryIsDeferredNotLost) {
 }
 
 // ---- End-to-end determinism: frozen golden digests ----------------------
+
+/// Where a hybrid engine must run an input's packs and unpacks: on its GPU
+/// or fusion path (kernels launched) or on its GDRCopy path (none).
+enum class Route { Any, Gpu, GdrCopy };
 
 /// One determinism input: every rank sends `msgs` messages of `count`
 /// elements of `type()` to its right-hand neighbour, posting all receives,
@@ -280,6 +265,7 @@ struct Shape {
   /// Pack each message with Proc::pack and send its packed bytes; unpack
   /// each with Proc::unpack after the waitall.
   bool explicit_pack{false};
+  Route route{Route::Any};
 };
 
 // 16 KiB packed, 32 KiB extent: a non-contiguous message above lassen's
@@ -331,6 +317,50 @@ const Shape kExplicitPack{"strided, explicit pack and unpack", 2, 8,
 const Shape kPollLoopShapes[] = {kGpuAsync, kGpuSync, kAdmission,
                                  kExplicitPack};
 
+// The schemes the inputs above leave out, each on two rendezvous layouts.
+// 1024 runs of 16 B, 16 KiB packed: more runs than any hybrid engine's
+// GDRCopy path takes, so each runs its GPU-Sync or fusion path.
+ddt::DatatypePtr sparseType() {
+  return ddt::Datatype::vector(1024, 2, 4, ddt::Datatype::float64());
+}
+// 24 runs of 512 B, 12 KiB packed: above lassen's 8 KiB eager threshold and
+// inside every hybrid engine's GDRCopy bounds (Proposed+Hybrid's are the
+// tightest, 64 runs and 16 KiB).
+ddt::DatatypePtr denseType() {
+  return ddt::Datatype::vector(24, 64, 128, ddt::Datatype::float64());
+}
+Shape schemeShape(const char* name, ddt::DatatypePtr (*type)(),
+                  schemes::Scheme scheme, Route route) {
+  Shape s{name, 2, 8, type, 1};
+  s.scheme = scheme;
+  s.route = route;
+  return s;
+}
+const Shape kSchemeShapes[] = {
+    schemeShape("sparse RGet, CPU-GPU-Hybrid", &sparseType,
+                schemes::Scheme::CpuGpuHybrid, Route::Gpu),
+    schemeShape("dense RGet, CPU-GPU-Hybrid", &denseType,
+                schemes::Scheme::CpuGpuHybrid, Route::GdrCopy),
+    schemeShape("sparse RGet, SpectrumMPI/OpenMPI", &sparseType,
+                schemes::Scheme::NaiveCopy, Route::Any),
+    schemeShape("dense RGet, SpectrumMPI/OpenMPI", &denseType,
+                schemes::Scheme::NaiveCopy, Route::Any),
+    schemeShape("sparse RGet, MVAPICH2-GDR", &sparseType,
+                schemes::Scheme::AdaptiveGdr, Route::Gpu),
+    schemeShape("dense RGet, MVAPICH2-GDR", &denseType,
+                schemes::Scheme::AdaptiveGdr, Route::GdrCopy),
+    schemeShape("sparse RGet, Proposed+Hybrid", &sparseType,
+                schemes::Scheme::ProposedHybrid, Route::Gpu),
+    schemeShape("dense RGet, Proposed+Hybrid", &denseType,
+                schemes::Scheme::ProposedHybrid, Route::GdrCopy),
+};
+// Proposed+Hybrid sends every DirectIPC copy down its fusion path.
+const Shape kHybridDirectIpc{"intra-node DirectIPC, Proposed+Hybrid",
+                             1, 8, &stridedType, 1, mpi::Protocol::RGet,
+                             true, us(5), false,
+                             schemes::Scheme::ProposedHybrid, 0, false,
+                             Route::Gpu};
+
 struct WorldTrace {
   std::vector<std::uint64_t> completion_order;  // (rank << 32) | tag
   std::vector<TimeNs> completed_at;             // every request, post order
@@ -339,6 +369,7 @@ struct WorldTrace {
   std::size_t processed_events{0};
   std::size_t retransmissions{0};
   std::size_t incomplete{0};  // posted requests that never completed
+  std::size_t kernels{0};     // kernels launched on every rank's GPU
 };
 
 sim::Task<void> traceWait(mpi::Proc& p, mpi::RequestPtr req,
@@ -466,6 +497,7 @@ WorldTrace runTracedWorld(const Shape& shape, double loss,
     trace.recv_bytes.insert(trace.recv_bytes.end(), rbufs[r].bytes.begin(),
                             rbufs[r].bytes.end());
     trace.retransmissions += rt.proc(r).transport().retransmissions;
+    trace.kernels += rt.proc(r).gpu().kernelsLaunched();
   }
   trace.end_time = eng.now();
   trace.processed_events = eng.processedEvents();
@@ -675,6 +707,59 @@ constexpr Golden kGoldens[] = {
     {"strided, explicit pack and unpack", 12, 0x10551,
      {0x5618ec83d5915d8b, 0xcbf29ce484222325, 0x177967e9001ef887,
       568950, 46, 8594}},
+    // kSchemeShapes and kHybridDirectIpc, recorded from the engines that
+    // still had one submit path per operation and a tenant side channel.
+    {"sparse RGet, CPU-GPU-Hybrid", 0, 0x10551,
+     {0x2c308cb0107c5fcf, 0xcbf29ce484222325, 0x57faab0bb02279ed,
+      249616, 0, 1690}},
+    {"sparse RGet, CPU-GPU-Hybrid", 12, 0x10551,
+     {0x2c308cb0107c5fcf, 0xcbf29ce484222325, 0x39fdd8bf43b3b61,
+      365718, 41, 4025}},
+    {"dense RGet, CPU-GPU-Hybrid", 0, 0x10551,
+     {0x9126d66897a82502, 0xcbf29ce484222325, 0x53b0eacd37a9cc89,
+      66820, 0, 638}},
+    {"dense RGet, CPU-GPU-Hybrid", 12, 0x10551,
+     {0x9126d66897a82502, 0xcbf29ce484222325, 0x656b4ad81114c1da,
+      296980, 44, 4602}},
+    {"sparse RGet, SpectrumMPI/OpenMPI", 0, 0x10551,
+     {0x2c308cb0107c5fcf, 0xcbf29ce484222325, 0x4fa47c6e4ae83e51,
+      18970752, 0, 40198}},
+    {"sparse RGet, SpectrumMPI/OpenMPI", 12, 0x10551,
+     {0x2c308cb0107c5fcf, 0xcbf29ce484222325, 0xd8908742f1384c90,
+      21226521, 50, 120897}},
+    {"dense RGet, SpectrumMPI/OpenMPI", 0, 0x10551,
+     {0x9126d66897a82502, 0xcbf29ce484222325, 0x4a21e90c84a718d1,
+      470062, 0, 1786}},
+    {"dense RGet, SpectrumMPI/OpenMPI", 12, 0x10551,
+     {0x9126d66897a82502, 0xcbf29ce484222325, 0x1659f6f371ebf1e8,
+      676362, 45, 5033}},
+    {"sparse RGet, MVAPICH2-GDR", 0, 0x10551,
+     {0x2c308cb0107c5fcf, 0xcbf29ce484222325, 0x57faab0bb02279ed,
+      249616, 0, 1690}},
+    {"sparse RGet, MVAPICH2-GDR", 12, 0x10551,
+     {0x2c308cb0107c5fcf, 0xcbf29ce484222325, 0x39fdd8bf43b3b61,
+      365718, 41, 4025}},
+    {"dense RGet, MVAPICH2-GDR", 0, 0x10551,
+     {0x9126d66897a82502, 0xcbf29ce484222325, 0x586683ee53a9b8cd,
+      78522, 0, 766}},
+    {"dense RGet, MVAPICH2-GDR", 12, 0x10551,
+     {0x9126d66897a82502, 0xcbf29ce484222325, 0x8d4525dbdc45f63c,
+      213034, 42, 3643}},
+    {"sparse RGet, Proposed+Hybrid", 0, 0x10551,
+     {0x2c308cb0107c5fcf, 0xcbf29ce484222325, 0xaa804e8de3787aad,
+      87603, 0, 1388}},
+    {"sparse RGet, Proposed+Hybrid", 12, 0x10551,
+     {0x2c308cb0107c5fcf, 0xcbf29ce484222325, 0x3161755fd970b1aa,
+      318446, 46, 3478}},
+    {"dense RGet, Proposed+Hybrid", 0, 0x10551,
+     {0x9126d66897a82502, 0xcbf29ce484222325, 0x53b0eacd37a9cc89,
+      66820, 0, 638}},
+    {"dense RGet, Proposed+Hybrid", 12, 0x10551,
+     {0x9126d66897a82502, 0xcbf29ce484222325, 0x656b4ad81114c1da,
+      296980, 44, 4602}},
+    {"intra-node DirectIPC, Proposed+Hybrid", 12, 0x10551,
+     {0x94d9e808b89d6f2d, 0xcbf29ce484222325, 0xa9beba6a691aa704,
+      43800, 66, 442}},
 };
 
 constexpr std::uint64_t kLossSeed = 0x10551;
@@ -719,6 +804,12 @@ std::string checkGolden(const Shape& shape, int loss_pct, std::uint64_t seed) {
     err << "digest mismatch for " << inputName(shape, loss_pct, seed)
         << ": expected " << *want << " (events at most), actual " << actual
         << "\n";
+  }
+  if ((shape.route == Route::Gpu && t.kernels == 0) ||
+      (shape.route == Route::GdrCopy && t.kernels != 0)) {
+    err << inputName(shape, loss_pct, seed) << " launched " << t.kernels
+        << " kernel(s), off its "
+        << (shape.route == Route::Gpu ? "GPU" : "GDRCopy") << " path\n";
   }
   return err.str();
 }
@@ -770,6 +861,15 @@ TEST(MsgPlaneDeterminism, MatchesGoldensOtherPollLoops) {
     EXPECT_EQ(checkGolden(shape, 0, kLossSeed), "");
     EXPECT_EQ(checkGolden(shape, 12, kLossSeed), "");
   }
+}
+
+// Every scheme the inputs above leave out, on the path its layout selects.
+TEST(MsgPlaneDeterminism, MatchesGoldensEveryScheme) {
+  for (const Shape& shape : kSchemeShapes) {
+    EXPECT_EQ(checkGolden(shape, 0, kLossSeed), "");
+    EXPECT_EQ(checkGolden(shape, 12, kLossSeed), "");
+  }
+  EXPECT_EQ(checkGolden(kHybridDirectIpc, 12, kLossSeed), "");
 }
 
 TEST(MsgPlaneDeterminism, FuzzSeedsParallel) {

@@ -1,9 +1,10 @@
 // Multi-tenant serving plane (MODEL.md §14): link-level contention math,
-// DRR delivery arbitration, weighted-fair batch claims, per-tenant
-// admission/backpressure, and end-to-end determinism of the arbitrated
-// plane — byte-identical reruns, serial-vs-parallel sweeps, fault-free and
-// at 12% loss. Every suite is named MultiTenant* so the TSan CI job can
-// select the whole plane with one filter.
+// DRR delivery arbitration, per-tenant admission/backpressure (including
+// whose batched packs an admission wait may flush), and end-to-end
+// determinism of the arbitrated plane — byte-identical reruns,
+// serial-vs-parallel sweeps, fault-free and at 12% loss. Every suite is
+// named MultiTenant* so the TSan CI job can select the whole plane with
+// one filter.
 //
 // The determinism sweep runs under bench::parallelFor; gtest assertions
 // are not thread-safe, so workers record failure strings and the main
@@ -21,7 +22,6 @@
 
 #include "bench_util/parallel.hpp"
 #include "common/rng.hpp"
-#include "core/request_list.hpp"
 #include "ddt/datatype.hpp"
 #include "fault/fault_plan.hpp"
 #include "gpu/memory.hpp"
@@ -95,7 +95,7 @@ TEST(MultiTenantLink, PerTenantDeliveryTimesNonDecreasing) {
 
 std::vector<int> drrDeliveryOrder(std::size_t quantum) {
   sim::Engine eng;
-  net::LinkBatcher b(eng, ns(0));
+  net::LinkBatcher b(eng);
   TenantWeights weights;
   weights.set(0, 2.0);
   weights.set(1, 1.0);
@@ -131,7 +131,7 @@ TEST(MultiTenantBatcher, DrrServesEveryEntryDeterministically) {
 
 TEST(MultiTenantBatcher, TenantDeliveryCountersTrackServes) {
   sim::Engine eng;
-  net::LinkBatcher b(eng, ns(0));
+  net::LinkBatcher b(eng);
   TenantWeights weights;
   net::ArbiterConfig cfg;
   cfg.policy = net::ArbiterPolicy::Drr;
@@ -152,95 +152,48 @@ TEST(MultiTenantBatcher, TenantDeliveryCountersTrackServes) {
 // every eager message parked in the DRR batcher with bytes=0 and drained
 // for free, disabling deficit accounting. FIFO ignores bytes (which is why
 // the conformance suites stayed green), so this pins the eager path through
-// a DRR fabric: with quantum == message size, equal weights, and a window
-// wide enough to make every delivery ripe in a single fire, correct byte
-// accounting serves exactly one message per tenant per rotation — each
-// consecutive pair of deliveries holds one message from each tenant.
-// Zero-byte entries would drain all of tenant 0 before tenant 1's first.
+// a DRR fabric. At 1e9 GB/s a message's wire time rounds to 1 ns, so each
+// tenant's k-th message lands at the same instant as the other's. With
+// weights 1:2 and a quantum of half a message, only the weight-2 tenant's
+// first credit covers a message, so it is served first at every instant.
+// Zero-byte entries would cost nothing and follow the rotation instead.
 TEST(MultiTenantFabric, EagerPayloadBytesDriveDrrDeficit) {
   sim::Engine eng;
-  const hw::MachineSpec machine = hw::lassen();
+  hw::MachineSpec machine = hw::lassen();
+  machine.internode.bandwidth = GBps(1e9);
   net::Fabric fabric(eng, machine, 2);
   constexpr std::size_t kMsgBytes = 4096;
   net::ContentionConfig cfg;
   cfg.enabled = true;
-  cfg.quantum_bytes = kMsgBytes;
+  cfg.weights.set(0, 1.0);
+  cfg.weights.set(1, 2.0);
+  cfg.quantum_bytes = kMsgBytes / 2;
   fabric.setContention(cfg);
-  fabric.setBatchWindow(ms(10));
   std::vector<std::byte> payload(kMsgBytes, std::byte{0x5A});
-  std::vector<int> order;
+  std::vector<std::pair<TimeNs, int>> served;
   for (int i = 0; i < 4; ++i) {
     for (const TenantId t : {TenantId{0}, TenantId{1}}) {
       fabric.sendMessage(
           0, 1, gpu::MemSpan::host(payload),
-          [&order, t](net::PayloadRef) { order.push_back(static_cast<int>(t)); },
+          [&served, &eng, t](net::PayloadRef) {
+            served.emplace_back(eng.now(), static_cast<int>(t));
+          },
           t);
     }
   }
   eng.run();
-  ASSERT_EQ(order.size(), 8u);
-  for (std::size_t i = 0; i < order.size(); i += 2) {
-    EXPECT_NE(order[i], order[i + 1])
-        << "DRR rotation " << i / 2 << " did not interleave tenants";
+  ASSERT_EQ(served.size(), 8u);
+  for (std::size_t i = 0; i < served.size(); i += 2) {
+    EXPECT_EQ(served[i].first, served[i + 1].first)
+        << "instant " << i / 2 << " did not land both tenants together";
+    EXPECT_EQ(served[i].second, 1)
+        << "instant " << i / 2 << " served the weight-1 tenant first";
+    EXPECT_EQ(served[i + 1].second, 0);
   }
-  const auto served = fabric.tenantDeliveries();
-  ASSERT_GE(served.size(), 2u);
-  EXPECT_EQ(served[0], 4u);
-  EXPECT_EQ(served[1], 4u);
-}
-
-// ---- RequestList: weighted-fair claim --------------------------------
-
-core::FusionRequest tenantRequest(TenantId t, std::size_t bytes) {
-  core::FusionRequest req;
-  req.op = core::FusionOp::Packing;
-  req.tenant = t;
-  req.layout = std::make_shared<const ddt::Layout>(ddt::flatten(
-      ddt::Datatype::contiguous(bytes, ddt::Datatype::byte()), 1));
-  return req;
-}
-
-TEST(MultiTenantClaim, WeightedClaimDrainsTenantsByWeightInUidOrder) {
-  core::RequestList list(64);
-  list.setAudit(true);
-  // Tenant 0 floods 12 entries before tenant 1's 4 arrive.
-  for (int i = 0; i < 12; ++i) list.tryEnqueue(tenantRequest(0, 1024));
-  for (int i = 0; i < 4; ++i) list.tryEnqueue(tenantRequest(1, 1024));
-  EXPECT_TRUE(list.hasPendingFor(0));
-  EXPECT_TRUE(list.hasPendingFor(1));
-  EXPECT_FALSE(list.hasPendingFor(7));
-
-  TenantWeights weights;  // default weight 1.0 each
-  const auto batch = list.claimPendingBatchWeighted(8, weights, 1024);
-  ASSERT_EQ(batch.size(), 8u);
-  // Equal weights, equal bytes: the oversubscribed claim takes 4 from each
-  // tenant instead of the first 8 FIFO entries (all tenant 0's).
-  std::size_t t0 = 0, t1 = 0;
-  std::int64_t prev_uid = -1;
-  for (const std::size_t slot : batch) {
-    const auto& r = list.slot(slot);
-    (r.tenant == 0 ? t0 : t1)++;
-    EXPECT_GT(r.uid, prev_uid);  // batch stays in UID order
-    prev_uid = r.uid;
-  }
-  EXPECT_EQ(t0, 4u);
-  EXPECT_EQ(t1, 4u);
-  EXPECT_TRUE(list.hasPendingFor(0));
-  EXPECT_FALSE(list.hasPendingFor(1));  // tenant 1 fully claimed
-}
-
-TEST(MultiTenantClaim, DegeneratesToFifoWhenEverythingFits) {
-  core::RequestList weighted(32), fifo(32);
-  weighted.setAudit(true);
-  fifo.setAudit(true);
-  for (int i = 0; i < 6; ++i) {
-    const TenantId t = i % 2;
-    weighted.tryEnqueue(tenantRequest(t, 256));
-    fifo.tryEnqueue(tenantRequest(t, 256));
-  }
-  TenantWeights weights;
-  EXPECT_EQ(weighted.claimPendingBatchWeighted(16, weights, 64 * 1024),
-            fifo.claimPendingBatch(16));
+  const auto delivered = fabric.tenantDeliveries();
+  ASSERT_GE(delivered.size(), 2u);
+  EXPECT_EQ(delivered[0], 4u);
+  EXPECT_EQ(delivered[1], 4u);
 }
 
 // ---- Runtime: admission, backpressure, determinism -------------------
@@ -269,7 +222,7 @@ bool operator==(const TenantTrace& a, const TenantTrace& b) {
 
 struct TenantWorldCfg {
   schemes::Scheme scheme{schemes::Scheme::Proposed};
-  bool drr{false};           // contention + DRR + weighted fair batching
+  bool drr{false};           // contention model + DRR delivery arbitration
   std::size_t limit{0};      // tenant_inflight_limit
   double loss{0.0};          // with reliability when > 0
   std::uint64_t seed{0xC0FFEE};
@@ -322,7 +275,6 @@ TenantTrace runTenantWorld(const TenantWorldCfg& wc) {
     cfg.contention.enabled = true;
     cfg.contention.weights.set(0, 4.0);
     cfg.contention.weights.set(1, 1.0);
-    cfg.weighted_fair_batching = true;
   }
   cfg.tenant_inflight_limit = wc.limit;
   if (wc.loss > 0.0) {
@@ -398,6 +350,120 @@ TEST(MultiTenantAdmission, CapBoundsInflightAndCountsBackpressure) {
   }
 }
 
+// Admission flushes only the throttled tenant's own batched packs, under
+// every fusion scheme (MODEL.md §14).
+struct AdmissionRun {
+  TimeNs end_time{0};
+  std::size_t sender_kernels{0};  // launched on rank 0's GPU
+  /// hasPendingFusedWork(0) and (1) when the sparse isendBatch returned.
+  bool pending_for[2]{false, false};
+};
+
+/// Two lassen nodes with one GPU each, `limit` admission tokens per tenant.
+/// Rank 0 sends `sparse_tenant` four sparse messages: 2048 runs of 4 B,
+/// 8 KiB packed, so eager, and past Proposed+Hybrid's GDRCopy bounds, so
+/// each pack waits in the fusion engine for a flush. With `bulk`, tenant 1
+/// first posts 64 contiguous 8 KiB sends and stays throttled while the
+/// sparse packs are batched.
+AdmissionRun runAdmission(schemes::Scheme scheme, TenantId sparse_tenant,
+                          std::size_t limit, bool bulk) {
+  sim::Engine eng;
+  hw::MachineSpec machine = hw::lassen();
+  machine.node.gpus_per_node = 1;
+  hw::Cluster cluster(eng, machine, 2);
+  mpi::RuntimeConfig cfg;
+  cfg.scheme = scheme;
+  cfg.tenant_inflight_limit = limit;
+  mpi::Runtime rt(cluster, cfg);
+  mpi::Proc& sender = rt.proc(0);
+  mpi::Proc& receiver = rt.proc(1);
+
+  constexpr int kBulk = 64;
+  constexpr std::size_t kBulkBytes = 8192;
+  constexpr int kSparse = 4;
+  const auto byte_t = ddt::Datatype::byte();
+  const auto sparse_t =
+      ddt::Datatype::vector(2048, 1, 4, ddt::Datatype::int32());
+  const auto region = static_cast<std::size_t>(sparse_t->extent());
+  std::vector<mpi::Proc::SendSpec> bulk_sends, sparse_sends;
+  std::vector<mpi::Proc::RecvSpec> recvs;
+  const auto add = [&](std::vector<mpi::Proc::SendSpec>& sends,
+                       ddt::DatatypePtr type, std::size_t count,
+                       std::size_t bytes, int tag, TenantId tenant) {
+    sends.push_back({sender.allocDevice(bytes), type, count, 1, tag, tenant});
+    recvs.push_back(
+        {receiver.allocDevice(bytes), type, count, 0, tag, tenant});
+  };
+  if (bulk) {
+    for (int i = 0; i < kBulk; ++i) {
+      add(bulk_sends, byte_t, kBulkBytes, kBulkBytes, 1000 + i, 1);
+    }
+  }
+  for (int i = 0; i < kSparse; ++i) {
+    add(sparse_sends, sparse_t, 1, region, i, sparse_tenant);
+  }
+
+  AdmissionRun run;
+  eng.spawn([](mpi::Proc& p,
+               std::vector<mpi::Proc::SendSpec> specs) -> sim::Task<void> {
+    co_await p.waitall(co_await p.isendBatch(std::move(specs)));
+  }(sender, std::move(bulk_sends)));
+  eng.spawn([](mpi::Proc& p, std::vector<mpi::Proc::SendSpec> specs,
+               bool after_bulk, AdmissionRun& out) -> sim::Task<void> {
+    if (after_bulk) co_await p.engine().delay(us(1));
+    auto reqs = co_await p.isendBatch(std::move(specs));
+    for (TenantId t = 0; t < 2; ++t) {
+      out.pending_for[t] = p.ddtEngine().hasPendingFusedWork(t);
+    }
+    co_await p.waitall(std::move(reqs));
+  }(sender, std::move(sparse_sends), bulk, run));
+  eng.spawn([](mpi::Proc& p,
+               std::vector<mpi::Proc::RecvSpec> specs) -> sim::Task<void> {
+    co_await p.waitall(co_await p.irecvBatch(std::move(specs)));
+  }(receiver, std::move(recvs)));
+  eng.setWatchdog(sec(1));
+  eng.run();
+  EXPECT_EQ(eng.unfinishedTasks(), 0u) << schemes::schemeName(scheme);
+  run.end_time = eng.now();
+  run.sender_kernels = sender.gpu().kernelsLaunched();
+  return run;
+}
+
+TEST(MultiTenantAdmission, ThrottledTenantLeavesAnotherTenantsBatchAlone) {
+  // Tenant 1 sits at its window while tenant 0's four packs are batched:
+  // its admission polls must not flush them, so they fuse into one kernel.
+  const AdmissionRun proposed =
+      runAdmission(schemes::Scheme::Proposed, 0, 4, /*bulk=*/true);
+  EXPECT_EQ(proposed.sender_kernels, 1u);
+  EXPECT_EQ(proposed.end_time, 48906u);
+  EXPECT_TRUE(proposed.pending_for[0]);
+  EXPECT_FALSE(proposed.pending_for[1]);
+  const AdmissionRun hybrid =
+      runAdmission(schemes::Scheme::ProposedHybrid, 0, 4, /*bulk=*/true);
+  EXPECT_EQ(hybrid.sender_kernels, proposed.sender_kernels);
+  EXPECT_EQ(hybrid.end_time, proposed.end_time);
+  EXPECT_TRUE(hybrid.pending_for[0]);
+  EXPECT_FALSE(hybrid.pending_for[1]);
+}
+
+TEST(MultiTenantAdmission, LoneThrottledTenantFlushesItsOwnBatch) {
+  // One token for tenant 1: each admission must flush tenant 1's own
+  // batched pack, or its token never returns. The packs carry tenant 1, so
+  // the engine reports them as tenant 1's work and nobody else's.
+  const AdmissionRun proposed =
+      runAdmission(schemes::Scheme::Proposed, 1, 1, /*bulk=*/false);
+  EXPECT_EQ(proposed.sender_kernels, 4u);
+  EXPECT_EQ(proposed.end_time, 83550u);
+  EXPECT_FALSE(proposed.pending_for[0]);
+  EXPECT_TRUE(proposed.pending_for[1]);
+  const AdmissionRun hybrid =
+      runAdmission(schemes::Scheme::ProposedHybrid, 1, 1, /*bulk=*/false);
+  EXPECT_EQ(hybrid.sender_kernels, proposed.sender_kernels);
+  EXPECT_EQ(hybrid.end_time, proposed.end_time);
+  EXPECT_FALSE(hybrid.pending_for[0]);
+  EXPECT_TRUE(hybrid.pending_for[1]);
+}
+
 TEST(MultiTenantDeterminism, ArbitratedPlaneIsByteIdenticalAcrossReruns) {
   for (const bool drr : {false, true}) {
     for (const double loss : {0.0, 0.12}) {
@@ -457,7 +523,6 @@ TEST(MultiTenantDefault, DefaultConfigKeepsFifoWireInert) {
   mpi::RuntimeConfig cfg;
   EXPECT_FALSE(cfg.contention.enabled);
   EXPECT_EQ(cfg.tenant_inflight_limit, 0u);
-  EXPECT_FALSE(cfg.weighted_fair_batching);
   // A default-config run never routes through the DRR arbiter: the
   // per-tenant delivery counters stay empty (FIFO head policy untouched).
   sim::Engine eng;

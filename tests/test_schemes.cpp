@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "ddt/pack.hpp"
 #include "hw/machines.hpp"
-#include "schemes/adaptive_gdr.hpp"
 #include "schemes/cpu_gpu_hybrid.hpp"
 #include "schemes/factory.hpp"
 #include "schemes/fusion_engine.hpp"
@@ -22,6 +21,38 @@
 
 namespace dkf::schemes {
 namespace {
+
+core::FusionRequest packRequest(ddt::LayoutPtr layout, gpu::MemSpan origin,
+                                gpu::MemSpan packed) {
+  core::FusionRequest req;
+  req.op = core::FusionOp::Packing;
+  req.layout = std::move(layout);
+  req.origin = origin;
+  req.target = packed;
+  return req;
+}
+
+core::FusionRequest unpackRequest(ddt::LayoutPtr layout, gpu::MemSpan packed,
+                                  gpu::MemSpan origin) {
+  core::FusionRequest req;
+  req.op = core::FusionOp::Unpacking;
+  req.layout = std::move(layout);
+  req.origin = packed;
+  req.target = origin;
+  return req;
+}
+
+core::FusionRequest directRequest(ddt::LayoutPtr src_layout, gpu::MemSpan src,
+                                  ddt::LayoutPtr dst_layout,
+                                  gpu::MemSpan dst) {
+  core::FusionRequest req;
+  req.op = core::FusionOp::DirectIPC;
+  req.layout = std::move(src_layout);
+  req.target_layout = std::move(dst_layout);
+  req.origin = src;
+  req.target = dst;
+  return req;
+}
 
 class SchemeFixture : public ::testing::Test {
  public:
@@ -67,7 +98,7 @@ class SchemeFixture : public ::testing::Test {
     Ticket ticket;
     eng_.spawn([](DdtEngine& e, ddt::LayoutPtr l, gpu::MemSpan o,
                   gpu::MemSpan p, Ticket& out) -> sim::Task<void> {
-      out = co_await e.submitPack(std::move(l), o, p);
+      out = co_await e.submit(packRequest(std::move(l), o, p));
     }(engine, layout, origin, packed, ticket));
     eng_.run();
     completeTicket(engine, ticket);
@@ -107,7 +138,7 @@ TEST_P(EveryScheme, PackMatchesHostReference) {
     Ticket ticket;
     eng_.spawn([](DdtEngine& e, ddt::LayoutPtr l, gpu::MemSpan s,
                   gpu::MemSpan d, Ticket& out) -> sim::Task<void> {
-      out = co_await e.submitDirect(l, s, l, d);
+      out = co_await e.submit(directRequest(l, s, l, d));
     }(*engine, layout, src, dst, ticket));
     eng_.run();
     EXPECT_FALSE(ticket.valid());
@@ -125,7 +156,7 @@ TEST_P(EveryScheme, UnpackMatchesHostReference) {
   Ticket ticket;
   eng_.spawn([](DdtEngine& e, ddt::LayoutPtr l, gpu::MemSpan p, gpu::MemSpan o,
                 Ticket& out) -> sim::Task<void> {
-    out = co_await e.submitUnpack(std::move(l), p, o);
+    out = co_await e.submit(unpackRequest(std::move(l), p, o));
   }(*engine, layout, packed, origin, ticket));
   eng_.run();
   completeTicket(*engine, ticket);
@@ -158,7 +189,7 @@ TEST_F(SchemeFixture, GpuSyncBlocksUntilComplete) {
   bool returned = false;
   eng_.spawn([](GpuSyncEngine& e, ddt::LayoutPtr l, gpu::MemSpan o,
                 gpu::MemSpan p, bool& flag) -> sim::Task<void> {
-    auto t = co_await e.submitPack(std::move(l), o, p);
+    auto t = co_await e.submit(packRequest(std::move(l), o, p));
     EXPECT_TRUE(e.done(t));  // synchronous: complete at return
     flag = true;
   }(engine, layout, origin, packed, returned));
@@ -180,7 +211,7 @@ TEST_F(SchemeFixture, GpuAsyncReturnsBeforeKernelFinishes) {
 
   eng_.spawn([](GpuAsyncEngine& e, ddt::LayoutPtr l, gpu::MemSpan o,
                 gpu::MemSpan p) -> sim::Task<void> {
-    auto t = co_await e.submitPack(std::move(l), o, p);
+    auto t = co_await e.submit(packRequest(std::move(l), o, p));
     EXPECT_FALSE(e.done(t));  // asynchronous: kernel still in flight
     EXPECT_EQ(e.outstanding(), 1u);
   }(engine, layout, origin, packed));
@@ -199,7 +230,7 @@ TEST_F(SchemeFixture, GpuAsyncQueryCostAccrues) {
   eng_.spawn([](sim::Engine& eng, sim::CpuTimeline& cpu, GpuAsyncEngine& e,
                 ddt::LayoutPtr l, gpu::MemSpan o,
                 gpu::MemSpan p) -> sim::Task<void> {
-    auto t = co_await e.submitPack(std::move(l), o, p);
+    auto t = co_await e.submit(packRequest(std::move(l), o, p));
     int queries = 0;
     while (!e.done(t)) {
       ++queries;
@@ -241,8 +272,8 @@ TEST_F(SchemeFixture, HybridCountsPathUsage) {
   eng_.spawn([](CpuGpuHybridEngine& e, ddt::LayoutPtr a, gpu::MemSpan ao,
                 gpu::MemSpan ap, ddt::LayoutPtr b, gpu::MemSpan bo,
                 gpu::MemSpan bp) -> sim::Task<void> {
-    co_await e.submitPack(std::move(a), ao, ap);
-    co_await e.submitPack(std::move(b), bo, bp);
+    co_await e.submit(packRequest(std::move(a), ao, ap));
+    co_await e.submit(packRequest(std::move(b), bo, bp));
   }(engine, dense, o1, p1, sparse, o2, p2));
   eng_.run();
   EXPECT_EQ(engine.cpuPathOps(), 1u);
@@ -274,7 +305,7 @@ TEST_F(SchemeFixture, GpuAsyncUnknownTicketThrowsInsteadOfPhantomDone) {
   Ticket t;
   eng_.spawn([](GpuAsyncEngine& e, ddt::LayoutPtr l, gpu::MemSpan o,
                 gpu::MemSpan p, Ticket& out) -> sim::Task<void> {
-    out = co_await e.submitPack(std::move(l), o, p);
+    out = co_await e.submit(packRequest(std::move(l), o, p));
   }(engine, layout, origin, packed, t));
   eng_.run();
   ASSERT_TRUE(t.valid());
@@ -291,7 +322,7 @@ TEST_F(SchemeFixture, NaiveCopyIssuesOneCopyPerBlock) {
 
   eng_.spawn([](NaiveCopyEngine& e, ddt::LayoutPtr l, gpu::MemSpan o,
                 gpu::MemSpan p) -> sim::Task<void> {
-    co_await e.submitPack(std::move(l), o, p);
+    co_await e.submit(packRequest(std::move(l), o, p));
   }(engine, layout, origin, packed));
   eng_.run();
   EXPECT_EQ(engine.copyCallsIssued(), 300u);
@@ -317,7 +348,7 @@ TEST_F(SchemeFixture, NaiveCopyScalesWithBlockCountNotBytes) {
     TimeNs done = 0;
     eng.spawn([](sim::Engine& e, NaiveCopyEngine& en, ddt::LayoutPtr l,
                  gpu::MemSpan o, gpu::MemSpan p, TimeNs& out) -> sim::Task<void> {
-      co_await en.submitPack(std::move(l), o, p);
+      co_await en.submit(packRequest(std::move(l), o, p));
       out = e.now();
     }(eng, engine, layout, origin, packed, done));
     eng.run();
@@ -344,7 +375,7 @@ TEST_F(SchemeFixture, FusionFallsBackWhenListFull) {
       auto o = f.filled(static_cast<std::size_t>(l->endOffset()),
                         static_cast<std::uint64_t>(i));
       auto p = f.gpu_.memory().allocate(l->size());
-      auto t = co_await e.submitPack(l, o, p);
+      auto t = co_await e.submit(packRequest(l, o, p));
       EXPECT_TRUE(t.valid());
       if (i >= 2) {
         EXPECT_TRUE(e.done(t));  // fallback ops are synchronous
@@ -370,7 +401,7 @@ TEST_F(SchemeFixture, FusionDirectCopiesBetweenLayouts) {
   eng_.spawn([](FusionEngine& e, ddt::LayoutPtr sl, gpu::MemSpan s,
                 ddt::LayoutPtr dl, gpu::MemSpan d,
                 Ticket& out) -> sim::Task<void> {
-    out = co_await e.submitDirect(std::move(sl), s, std::move(dl), d);
+    out = co_await e.submit(directRequest(std::move(sl), s, std::move(dl), d));
   }(engine, src_layout, src, dst_layout, dst, ticket));
   eng_.run();
   ASSERT_TRUE(ticket.valid());
@@ -394,7 +425,7 @@ TEST_F(SchemeFixture, FusionBatchesManySubmissionsIntoFewKernels) {
       auto o = f.filled(static_cast<std::size_t>(l->endOffset()),
                         static_cast<std::uint64_t>(100 + i));
       auto p = f.gpu_.memory().allocate(l->size());
-      tickets.push_back(co_await e.submitPack(l, o, p));
+      tickets.push_back(co_await e.submit(packRequest(l, o, p)));
     }
     co_await e.flush();
     for (auto& t : tickets) {
@@ -451,9 +482,9 @@ TEST_F(SchemeFixture, HybridFusionRoutesBySparsity) {
   eng_.spawn([](HybridFusionEngine& e, ddt::LayoutPtr a, gpu::MemSpan ao,
                 gpu::MemSpan ap, ddt::LayoutPtr b, gpu::MemSpan bo,
                 gpu::MemSpan bp) -> sim::Task<void> {
-    auto t1 = co_await e.submitPack(a, ao, ap);
+    auto t1 = co_await e.submit(packRequest(a, ao, ap));
     EXPECT_TRUE(e.done(t1));  // CPU path: synchronous
-    auto t2 = co_await e.submitPack(b, bo, bp);
+    auto t2 = co_await e.submit(packRequest(b, bo, bp));
     EXPECT_FALSE(e.done(t2));  // fusion path: pending until flush
     co_await e.flush();
   }(*hf, dense_small, o1, p1, sparse, o2, p2));
@@ -471,10 +502,11 @@ TEST_F(SchemeFixture, HybridFusionRoutesBySparsity) {
 }
 
 TEST_F(SchemeFixture, HybridFusionTicketSpacesAreStructurallyDisjoint) {
-  // Regression: done() used to classify ANY ticket with id >= 2^61 as a
-  // CPU-path ticket, so a fusion uid (or the fusion engine's fallback ids
-  // at 2^62) growing into that range silently reported unfinished fusion
-  // requests as done. The spaces are now partitioned by a tag bit.
+  // A CPU-path ticket is done the moment submit() returns; a fusion ticket
+  // is not done until its fused kernel completes. Regression: done() once
+  // told the two paths' tickets apart by magnitude, so a fusion id grown
+  // large enough read as a finished CPU-path ticket. Now the only ticket
+  // done without a query is kFinished, which no request UID takes.
   HybridFusionEngine engine(eng_, cpu_, gpu_);
 
   auto dense_small = makeLayout(4, 512, 1024);  // CPU path
@@ -488,25 +520,26 @@ TEST_F(SchemeFixture, HybridFusionTicketSpacesAreStructurallyDisjoint) {
   eng_.spawn([](HybridFusionEngine& e, ddt::LayoutPtr a, gpu::MemSpan ao,
                 gpu::MemSpan ap, ddt::LayoutPtr b, gpu::MemSpan bo,
                 gpu::MemSpan bp, Ticket& ct, Ticket& ft) -> sim::Task<void> {
-    ct = co_await e.submitPack(a, ao, ap);
-    ft = co_await e.submitPack(b, bo, bp);
+    ct = co_await e.submit(packRequest(a, ao, ap));
+    EXPECT_TRUE(e.done(ct));
+    ft = co_await e.submit(packRequest(b, bo, bp));
+    EXPECT_FALSE(e.done(ft));  // queued
     co_await e.flush();
+    EXPECT_FALSE(e.done(ft));  // launched, still running
   }(engine, dense_small, o1, p1, sparse, o2, p2, cpu_ticket, fusion_ticket));
   eng_.run();
 
-  ASSERT_TRUE(cpu_ticket.valid());
+  EXPECT_TRUE(cpu_ticket.finished());
   ASSERT_TRUE(fusion_ticket.valid());
-  EXPECT_NE(cpu_ticket.id & HybridFusionEngine::kCpuTag, 0);   // tagged
-  EXPECT_EQ(fusion_ticket.id & HybridFusionEngine::kCpuTag, 0);  // untagged
-  EXPECT_TRUE(engine.done(cpu_ticket));
+  EXPECT_FALSE(fusion_ticket.finished());
   completeTicket(engine, fusion_ticket);
   EXPECT_TRUE(engine.done(fusion_ticket));
 }
 
 TEST_F(SchemeFixture, HybridFusionFallbackTicketsStayOutOfCpuTagSpace) {
-  // Fusion-path fallback ids live at 2^62; bit 61 stays clear, so done()
-  // must route them to the fusion path (which knows they are synchronous),
-  // not misclassify them as CPU tickets.
+  // With the request list full, a fusion-path pack runs on the GPU-Sync
+  // fallback and is done at submit, while the queued request ahead of it
+  // stays not done until its own kernel completes.
   core::FusionPolicy policy;
   policy.list_capacity = 1;
   policy.threshold_bytes = 1u << 30;  // never launch -> list fills
@@ -517,14 +550,15 @@ TEST_F(SchemeFixture, HybridFusionFallbackTicketsStayOutOfCpuTagSpace) {
                 ddt::LayoutPtr l) -> sim::Task<void> {
     auto o1 = f.filled(static_cast<std::size_t>(l->endOffset()), 60);
     auto p1 = f.gpu_.memory().allocate(l->size());
-    Ticket queued = co_await e.submitPack(l, o1, p1);  // fills the list
+    Ticket queued = co_await e.submit(packRequest(l, o1, p1));  // fills it
     auto o2 = f.filled(static_cast<std::size_t>(l->endOffset()), 61);
     auto p2 = f.gpu_.memory().allocate(l->size());
-    Ticket fallback = co_await e.submitPack(l, o2, p2);  // synchronous
-    EXPECT_EQ(fallback.id & HybridFusionEngine::kCpuTag, 0);
+    Ticket fallback = co_await e.submit(packRequest(l, o2, p2));
+    EXPECT_TRUE(fallback.finished());
     EXPECT_TRUE(e.done(fallback));
     EXPECT_FALSE(e.done(queued));
     co_await e.flush();
+    while (!e.done(queued)) co_await f.eng_.delay(200);
   }(*this, engine, sparse));
   eng_.run();
 }
