@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -293,11 +294,17 @@ double sourceValue(int rank, std::size_t i, ReduceType type) {
   return type == ReduceType::Float64 ? base + 0.25 * rank : base;
 }
 
+enum class Collective { Reduce, Allreduce };  // reduce-to-root vs allreduce
+
+// Three 4-byte enums, so no byte is padding: gtest names each case by
+// dumping its bytes (ctest lists that dump), and a `bool` here left three
+// indeterminate bytes that varied the names from build to build.
 struct MinMaxCase {
-  bool all{false};  // allreduce vs reduce-to-root
+  Collective coll{Collective::Reduce};
   ReduceOp op{ReduceOp::Min};
   ReduceType type{ReduceType::Float64};
 };
+static_assert(std::has_unique_object_representations_v<MinMaxCase>);
 
 class ReduceMinMax : public ::testing::TestWithParam<MinMaxCase> {};
 
@@ -331,7 +338,7 @@ TEST_P(ReduceMinMax, MatchesElementwiseOracle) {
   }
   for (int r = 0; r < w.rt.worldSize(); ++r) {
     w.eng.spawn([](Proc& p, gpu::MemSpan b, MinMaxCase cs) -> sim::Task<void> {
-      if (cs.all) {
+      if (cs.coll == Collective::Allreduce) {
         co_await allreduce(p, b, kCount, cs.type, cs.op);
       } else {
         co_await reduce(p, b, kCount, cs.type, cs.op, kRoot);
@@ -341,7 +348,8 @@ TEST_P(ReduceMinMax, MatchesElementwiseOracle) {
   w.eng.run();
   ASSERT_EQ(w.eng.unfinishedTasks(), 0u);
   for (int r = 0; r < w.rt.worldSize(); ++r) {
-    if (!c.all && r != kRoot) continue;  // reduce: result only on root
+    // Reduce: the result lands only on the root.
+    if (c.coll == Collective::Reduce && r != kRoot) continue;
     for (std::size_t i = 0; i < kCount; ++i) {
       const double got =
           c.type == ReduceType::Float64
@@ -358,17 +366,18 @@ TEST_P(ReduceMinMax, MatchesElementwiseOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     OpsAndTypes, ReduceMinMax,
-    ::testing::Values(MinMaxCase{false, ReduceOp::Min, ReduceType::Float64},
-                      MinMaxCase{false, ReduceOp::Min, ReduceType::Int64},
-                      MinMaxCase{false, ReduceOp::Max, ReduceType::Float64},
-                      MinMaxCase{false, ReduceOp::Max, ReduceType::Int64},
-                      MinMaxCase{true, ReduceOp::Min, ReduceType::Float64},
-                      MinMaxCase{true, ReduceOp::Min, ReduceType::Int64},
-                      MinMaxCase{true, ReduceOp::Max, ReduceType::Float64},
-                      MinMaxCase{true, ReduceOp::Max, ReduceType::Int64}),
+    ::testing::Values(
+        MinMaxCase{Collective::Reduce, ReduceOp::Min, ReduceType::Float64},
+        MinMaxCase{Collective::Reduce, ReduceOp::Min, ReduceType::Int64},
+        MinMaxCase{Collective::Reduce, ReduceOp::Max, ReduceType::Float64},
+        MinMaxCase{Collective::Reduce, ReduceOp::Max, ReduceType::Int64},
+        MinMaxCase{Collective::Allreduce, ReduceOp::Min, ReduceType::Float64},
+        MinMaxCase{Collective::Allreduce, ReduceOp::Min, ReduceType::Int64},
+        MinMaxCase{Collective::Allreduce, ReduceOp::Max, ReduceType::Float64},
+        MinMaxCase{Collective::Allreduce, ReduceOp::Max, ReduceType::Int64}),
     [](const ::testing::TestParamInfo<MinMaxCase>& pinfo) {
       const MinMaxCase& c = pinfo.param;
-      std::string n = c.all ? "Allreduce" : "Reduce";
+      std::string n = c.coll == Collective::Allreduce ? "Allreduce" : "Reduce";
       n += c.op == ReduceOp::Min ? "Min" : "Max";
       n += c.type == ReduceType::Float64 ? "Float64" : "Int64";
       return n;
