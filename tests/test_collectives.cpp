@@ -1,6 +1,7 @@
 // Collectives built on the runtime: bcast, reduce, allreduce, gather,
 // alltoall, and the derived-datatype neighborhood alltoall-w — each
-// validated against a host oracle across multiple roots and sizes.
+// validated against a host oracle across multiple roots and sizes, with its
+// virtual end time and fabric traffic frozen (collective_timing.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "hw/cluster.hpp"
 #include "hw/machines.hpp"
 #include "mpi/collectives.hpp"
+#include "collective_timing.hpp"
 #include "workloads/workloads.hpp"
 
 namespace dkf::mpi {
@@ -27,10 +29,20 @@ struct CollWorld {
           return cfg;
         }()) {}
 
+  CollTiming timing() { return collTiming(eng, cluster); }
+
   sim::Engine eng;
   hw::Cluster cluster;
   Runtime rt;
 };
+
+CollTiming bcastGolden(int root) {
+  switch (root) {
+    case 0: return {5700, 7, 28672};
+    case 3: return {5950, 7, 28672};
+    default: return {5950, 7, 28672};
+  }
+}
 
 class BcastRoots : public ::testing::TestWithParam<int> {};
 
@@ -56,6 +68,7 @@ TEST_P(BcastRoots, AllRanksReceiveRootData) {
     EXPECT_EQ(bufs[r].bytes[0], std::byte{0xCD}) << "rank " << r;
     EXPECT_EQ(bufs[r].bytes[bytes - 1], std::byte{0xCD}) << "rank " << r;
   }
+  EXPECT_EQ(w.timing(), bcastGolden(root));
 }
 
 INSTANTIATE_TEST_SUITE_P(Roots, BcastRoots, ::testing::Values(0, 3, 7));
@@ -84,6 +97,7 @@ TEST(Reduce, SumLandsOnRoot) {
   for (std::size_t i = 0; i < kCount; ++i) {
     ASSERT_DOUBLE_EQ(result[i], 36.0);
   }
+  EXPECT_EQ(w.timing(), (CollTiming{5450, 7, 6656}));
 }
 
 TEST(Allreduce, MaxEverywhere) {
@@ -120,6 +134,7 @@ TEST(Allreduce, MaxEverywhere) {
       ASSERT_EQ(vals[i], expect[i]) << "rank " << r << " elem " << i;
     }
   }
+  EXPECT_EQ(w.timing(), (CollTiming{10150, 14, 2560}));
 }
 
 TEST(Gather, RankMajorAtRoot) {
@@ -146,6 +161,7 @@ TEST(Gather, RankMajorAtRoot) {
     EXPECT_EQ(recv.bytes[static_cast<std::size_t>(r) * kBytes],
               static_cast<std::byte>(0xA0 + r));
   }
+  EXPECT_EQ(w.timing(), (CollTiming{1950, 7, 1792}));
 }
 
 TEST(Alltoall, FullPairwiseExchange) {
@@ -178,6 +194,7 @@ TEST(Alltoall, FullPairwiseExchange) {
           << "rank " << r << " from " << peer;
     }
   }
+  EXPECT_EQ(w.timing(), (CollTiming{3750, 56, 7168}));
 }
 
 TEST(NeighborAlltoallw, MatchesHaloExchangerSemantics) {
@@ -228,6 +245,7 @@ TEST(NeighborAlltoallw, MatchesHaloExchangerSemantics) {
             static_cast<double>(rankOf(-1, 0, 0)));
   EXPECT_EQ(cells[((kTotal - 1) * kTotal + mid) * kTotal + mid],
             static_cast<double>(rankOf(1, 0, 0)));
+  EXPECT_EQ(w.timing(), (CollTiming{51092, 80, 6144}));
 }
 
 }  // namespace

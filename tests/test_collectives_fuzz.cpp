@@ -4,6 +4,8 @@
 // against a serial host-side shadow model. Reductions are checked against
 // the exact pinned-order fold (res = c_0, then res op= c_r for r = 1..n-1),
 // so a topology that combined in any other order fails in the last ulp.
+// Each world's virtual end time and fabric traffic are frozen too
+// (collective_timing.hpp): kSmallWorldGoldens and the large-world tests.
 //
 // The iterations run under bench::parallelFor; gtest assertions are not
 // thread-safe, so workers record failure strings and the main thread
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "bench_util/parallel.hpp"
+#include "collective_timing.hpp"
 #include "common/rng.hpp"
 #include "ddt/layout.hpp"
 #include "hw/cluster.hpp"
@@ -222,12 +225,14 @@ struct FuzzParams {
   bool forced{false};    ///< force `tuning` for every collective
   CollTuning tuning{};
   bool run_a2a{true};    ///< bruck at 512 ranks is the one genuinely slow case
+  CollTiming golden{};   ///< frozen end time and fabric traffic of the world
 };
 
 /// Builds a world from `fp.seed`, runs alltoallv + allgatherv + ddt
 /// allreduce + contiguous allreduce + reduce + bcast, and compares every
-/// output buffer against the serial shadow. Returns "" on success, a
-/// description of the first divergence otherwise. No gtest calls — safe to
+/// output buffer against the serial shadow and the world's timing against
+/// `fp.golden`. Returns "" on success, a description of the first
+/// divergence otherwise. No gtest calls — safe to
 /// run from parallelFor workers.
 std::string runCollectiveFuzz(const FuzzParams& fp) {
   Rng rng(fp.seed * 0x9E3779B97F4A7C15ull + 1);
@@ -534,17 +539,37 @@ std::string runCollectiveFuzz(const FuzzParams& fp) {
     }
   }
 
+  const CollTiming actual = collTiming(eng, cluster);
+  if (actual != fp.golden) {
+    std::ostringstream os;
+    os << "timing " << actual << ", golden " << fp.golden << " | "
+       << trace.str();
+    return os.str();
+  }
   return {};
 }
 
 // ---- Tests ---------------------------------------------------------------
 
+/// Timing of RandomSmallWorlds' world i (seed 0xC0FFEE + i * 977).
+constexpr CollTiming kSmallWorldGoldens[] = {
+    {94614, 90, 2757}, {248396, 117, 4330}, {265735, 410, 25968},
+    {20304, 22, 618}, {93150, 12, 718}, {242400, 346, 15912},
+    {644750, 580, 30960}, {292902, 1359, 65608}, {399696, 2324, 146702},
+    {487450, 1228, 76448}, {357850, 1229, 38888}, {664400, 1036, 43508},
+    {825050, 1005, 93820}, {118573, 930, 16376}, {157991, 174, 6728},
+    {476500, 1108, 74992}, {92374, 844, 40968}, {687752, 601, 64400},
+    {16345, 10, 265}, {437400, 342, 8520}, {55322, 449, 8489},
+    {729400, 912, 25164}, {211300, 44, 972}, {418266, 1471, 81872},
+};
+
 TEST(CollectiveFuzz, RandomSmallWorlds) {
-  constexpr std::size_t kIters = 24;
+  constexpr std::size_t kIters = std::size(kSmallWorldGoldens);
   std::vector<std::string> errs(kIters);
   bench::parallelFor(kIters, [&](std::size_t i) {
     FuzzParams fp;
     fp.seed = 0xC0FFEE + i * 977;
+    fp.golden = kSmallWorldGoldens[i];
     errs[i] = runCollectiveFuzz(fp);
   });
   for (const auto& err : errs) {
@@ -559,6 +584,7 @@ TEST(CollectiveFuzz, LargeWorldRing129) {
   fp.tiny = true;
   fp.forced = true;
   fp.tuning = {CollAlgo::Ring, 2};
+  fp.golden = {1292452, 66510, 1330400};
   const auto err = runCollectiveFuzz(fp);
   EXPECT_TRUE(err.empty()) << err;
 }
@@ -570,6 +596,7 @@ TEST(CollectiveFuzz, LargeWorldTree257Radix3) {
   fp.tiny = true;
   fp.forced = true;
   fp.tuning = {CollAlgo::Tree, 3};
+  fp.golden = {383837, 7611, 4098264};
   const auto err = runCollectiveFuzz(fp);
   EXPECT_TRUE(err.empty()) << err;
 }
@@ -582,6 +609,7 @@ TEST(CollectiveFuzz, LargeWorldTree512) {
   fp.forced = true;
   fp.tuning = {CollAlgo::Tree, 2};
   fp.run_a2a = false;  // bruck at 512 is covered at 257; keep the test fast
+  fp.golden = {3214100, 3942, 2552616};
   const auto err = runCollectiveFuzz(fp);
   EXPECT_TRUE(err.empty()) << err;
 }
@@ -594,6 +622,7 @@ TEST(CollectiveFuzz, LargeWorldFlat64) {
   fp.tiny = true;
   fp.forced = true;
   fp.tuning = {CollAlgo::Flat, 2};
+  fp.golden = {531550, 12495, 282408};
   const auto err = runCollectiveFuzz(fp);
   EXPECT_TRUE(err.empty()) << err;
 }

@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "collective_timing.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_plan.hpp"
 #include "hw/cluster.hpp"
@@ -232,6 +233,91 @@ INSTANTIATE_TEST_SUITE_P(
 // point-to-point conformance runs use.
 // ---------------------------------------------------------------------------
 
+/// The frozen virtual end time and fabric traffic of one collective world
+/// (collective_timing.hpp), by scheme, tuning and loss.
+struct WorldGolden {
+  schemes::Scheme scheme;
+  mpi::CollAlgo algo;
+  int radix;
+  bool lossy;
+  CollTiming timing;
+};
+
+using schemes::Scheme;
+constexpr mpi::CollAlgo kFlat = mpi::CollAlgo::Flat;
+constexpr mpi::CollAlgo kRing = mpi::CollAlgo::Ring;
+constexpr mpi::CollAlgo kTree = mpi::CollAlgo::Tree;
+
+constexpr WorldGolden kWorldGoldens[] = {
+    {Scheme::GpuSync, kFlat, 2, false, {379182, 168, 82432}},
+    {Scheme::GpuSync, kRing, 2, false, {357154, 168, 82432}},
+    {Scheme::GpuSync, kTree, 2, false, {345242, 76, 91072}},
+    {Scheme::GpuSync, kTree, 3, false, {340518, 92, 81920}},
+    {Scheme::GpuAsync, kFlat, 2, false, {364061, 168, 82432}},
+    {Scheme::GpuAsync, kRing, 2, false, {369400, 168, 82432}},
+    {Scheme::GpuAsync, kTree, 2, false, {359200, 76, 91072}},
+    {Scheme::GpuAsync, kTree, 3, false, {357700, 92, 81920}},
+    {Scheme::CpuGpuHybrid, kFlat, 2, false, {237481, 168, 82432}},
+    {Scheme::CpuGpuHybrid, kRing, 2, false, {259944, 168, 82432}},
+    {Scheme::CpuGpuHybrid, kTree, 2, false, {239285, 76, 91072}},
+    {Scheme::CpuGpuHybrid, kTree, 3, false, {237607, 92, 81920}},
+    {Scheme::NaiveCopy, kFlat, 2, false, {4513891, 168, 82432}},
+    {Scheme::NaiveCopy, kRing, 2, false, {4993098, 168, 82432}},
+    {Scheme::NaiveCopy, kTree, 2, false, {4415210, 76, 91072}},
+    {Scheme::NaiveCopy, kTree, 3, false, {4413137, 92, 81920}},
+    {Scheme::AdaptiveGdr, kFlat, 2, false, {272477, 168, 82432}},
+    {Scheme::AdaptiveGdr, kRing, 2, false, {332809, 168, 82432}},
+    {Scheme::AdaptiveGdr, kTree, 2, false, {272681, 76, 91072}},
+    {Scheme::AdaptiveGdr, kTree, 3, false, {271343, 92, 81920}},
+    {Scheme::Proposed, kFlat, 2, false, {215700, 192, 73984}},
+    {Scheme::Proposed, kRing, 2, false, {364400, 192, 73984}},
+    {Scheme::Proposed, kTree, 2, false, {346500, 76, 91072}},
+    {Scheme::Proposed, kTree, 3, false, {341750, 92, 81920}},
+    {Scheme::ProposedTuned, kFlat, 2, false, {215700, 192, 73984}},
+    {Scheme::ProposedTuned, kRing, 2, false, {364400, 192, 73984}},
+    {Scheme::ProposedTuned, kTree, 2, false, {346500, 76, 91072}},
+    {Scheme::ProposedTuned, kTree, 3, false, {341750, 92, 81920}},
+    {Scheme::ProposedHybrid, kFlat, 2, false, {197108, 192, 73984}},
+    {Scheme::ProposedHybrid, kRing, 2, false, {313817, 192, 73984}},
+    {Scheme::ProposedHybrid, kTree, 2, false, {278297, 76, 91072}},
+    {Scheme::ProposedHybrid, kTree, 3, false, {274380, 92, 81920}},
+    {Scheme::GpuSync, kFlat, 2, true, {770052, 400, 115840}},
+    {Scheme::GpuSync, kRing, 2, true, {1144040, 400, 116608}},
+    {Scheme::GpuSync, kTree, 2, true, {662494, 181, 126072}},
+    {Scheme::GpuAsync, kFlat, 2, true, {964900, 400, 118144}},
+    {Scheme::GpuAsync, kRing, 2, true, {1458950, 400, 118400}},
+    {Scheme::GpuAsync, kTree, 2, true, {643800, 181, 127464}},
+    {Scheme::CpuGpuHybrid, kFlat, 2, true, {529744, 400, 114816}},
+    {Scheme::CpuGpuHybrid, kRing, 2, true, {1234120, 400, 118400}},
+    {Scheme::CpuGpuHybrid, kTree, 2, true, {978370, 181, 122432}},
+    {Scheme::NaiveCopy, kFlat, 2, true, {4774254, 400, 117120}},
+    {Scheme::NaiveCopy, kRing, 2, true, {5599629, 400, 117632}},
+    {Scheme::NaiveCopy, kTree, 2, true, {4655773, 181, 125872}},
+    {Scheme::AdaptiveGdr, kFlat, 2, true, {719354, 400, 117888}},
+    {Scheme::AdaptiveGdr, kRing, 2, true, {1254309, 400, 116608}},
+    {Scheme::AdaptiveGdr, kTree, 2, true, {1010552, 181, 121096}},
+    {Scheme::Proposed, kFlat, 2, true, {2998200, 409, 105792}},
+    {Scheme::Proposed, kRing, 2, true, {1353400, 403, 105664}},
+    {Scheme::Proposed, kTree, 2, true, {635700, 181, 127664}},
+    {Scheme::ProposedTuned, kFlat, 2, true, {2998200, 409, 105792}},
+    {Scheme::ProposedTuned, kRing, 2, true, {1353400, 403, 105664}},
+    {Scheme::ProposedTuned, kTree, 2, true, {635700, 181, 127664}},
+    {Scheme::ProposedHybrid, kFlat, 2, true, {431895, 402, 102016}},
+    {Scheme::ProposedHybrid, kRing, 2, true, {979317, 405, 105280}},
+    {Scheme::ProposedHybrid, kTree, 2, true, {646580, 181, 137392}},
+};
+
+const CollTiming* findWorldGolden(schemes::Scheme scheme,
+                                  mpi::CollTuning tuning, bool lossy) {
+  for (const WorldGolden& g : kWorldGoldens) {
+    if (g.scheme == scheme && g.algo == tuning.algo &&
+        g.radix == tuning.radix && g.lossy == lossy) {
+      return &g.timing;
+    }
+  }
+  return nullptr;
+}
+
 /// Runs one 8-rank world through alltoallv + allgatherv + allreduceDdt with
 /// the given tuning and returns the concatenated receive/result images of
 /// every rank. Inputs depend only on `seed`, never on the tuning, so two
@@ -333,6 +419,17 @@ std::vector<std::byte> runCollectiveWorld(schemes::Scheme scheme,
   };
   rt.runAll(body);
   EXPECT_EQ(eng.unfinishedTasks(), 0u) << "collective deadlocked";
+  const CollTiming actual = collTiming(eng, cluster);
+  const CollTiming* golden = findWorldGolden(scheme, tuning, lossy);
+  const std::string world = std::string(schemes::schemeName(scheme)) + " " +
+                            mpi::collAlgoName(tuning.algo) + "/" +
+                            std::to_string(tuning.radix) +
+                            (lossy ? " lossy" : " fault-free");
+  if (golden == nullptr) {
+    ADD_FAILURE() << "no timing golden for " << world << "; actual " << actual;
+  } else {
+    EXPECT_EQ(actual, *golden) << world;
+  }
 
   std::vector<std::byte> image;
   for (const auto& b : bufs) {
