@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.hpp"
-#include "schemes/solver.hpp"
+#include "mpi/schedule.hpp"
 
 namespace dkf::mpi {
 
@@ -82,20 +84,11 @@ ddt::DatatypePtr elemDatatype(ReduceType t) {
 int relRank(int rank, int root, int n) { return (rank - root + n) % n; }
 int absRank(int rel, int root, int n) { return (rel + root) % n; }
 
-// ---- Block resolution + per-hop plan warming --------------------------
-
-/// A VBlock resolved against its buffer: canonical layout, packed size and
-/// extent, all bounds-checked. Zero-count blocks resolve to an empty view.
-struct BlockView {
-  ddt::LayoutPtr layout;
-  std::size_t packed{0};
-  std::size_t extent{0};
-  std::size_t offset{0};
-};
+// ---- Block resolution ---------------------------------------------------
 
 BlockView resolveBlock(Proc& proc, const VBlock& b, const gpu::MemSpan& buf,
                        const char* what) {
-  if (b.count == 0) return BlockView{nullptr, 0, 0, b.offset};
+  if (b.count == 0) return BlockView{b.type, 0, b.offset, 0, 0, nullptr};
   DKF_CHECK_MSG(b.type != nullptr, what << " block has no datatype");
   auto layout = proc.layoutCache().get(b.type, b.count);
   DKF_CHECK_MSG(layout->minOffset() >= 0,
@@ -104,7 +97,7 @@ BlockView resolveBlock(Proc& proc, const VBlock& b, const gpu::MemSpan& buf,
   DKF_CHECK_MSG(b.offset + extent <= buf.size(),
                 what << " block exceeds its buffer: offset " << b.offset
                      << " + extent " << extent << " > " << buf.size());
-  return BlockView{layout, layout->size(), extent, b.offset};
+  return BlockView{b.type, b.count, b.offset, extent, layout->size(), layout};
 }
 
 /// The span a typed send/recv of this block binds to.
@@ -112,129 +105,30 @@ gpu::MemSpan blockSpan(const gpu::MemSpan& buf, const BlockView& bv) {
   return buf.subspan(bv.offset, bv.extent);
 }
 
-/// Pre-compile the pack or unpack plan of every distinct layout signature
-/// among `views` through the per-rank PlanCache. The per-peer loop that
-/// follows then binds the one cached CompiledPlan per signature instead of
-/// re-running the solver for every destination — the "compile once per
-/// hop" contract of MODEL.md §12. (Proc::planRequest builds the identical
-/// single-op plan, so its cache key matches these entries exactly.)
-void warmBlockPlans(Proc& proc, core::FusionOp op,
-                    const std::vector<BlockView>& views) {
-  for (const BlockView& bv : views) {
-    if (!bv.layout || bv.packed == 0) continue;
-    core::FusionPlan plan;
-    if (op == core::FusionOp::Packing) {
-      plan.addPack(bv.layout);
-    } else {
-      plan.addUnpack(bv.layout);
-    }
-    schemes::compilePlanCached(proc.planCache(), plan, proc.config().scheme,
-                               proc.gpu().nodeSpec());
-  }
-}
-
 std::vector<std::size_t> prefixOffsets(const std::vector<std::size_t>& sizes) {
   std::vector<std::size_t> offs(sizes.size() + 1, 0);
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    offs[i + 1] = offs[i] + sizes[i];
-  }
+  std::partial_sum(sizes.begin(), sizes.end(), offs.begin() + 1);
   return offs;
 }
 
-// ---- Byte-transport primitives ----------------------------------------
-//
-// All reduction/allgather topologies are built from four transports over
-// already-packed bytes. `sizes` is indexed by absolute rank and must be
-// identical on every rank (v-collectives can compute it locally because
-// every rank knows every block's datatype). `full` is the rank-major
-// concatenation buffer with prefix offsets of `sizes`.
-
-/// Direct sends to every peer; every rank ends with the full concatenation.
-sim::Task<void> flatAllgatherBytes(Proc& proc,
-                                   const std::vector<std::size_t>& sizes,
-                                   const std::vector<std::size_t>& offs,
-                                   gpu::MemSpan mine, gpu::MemSpan full,
-                                   int tag) {
-  const int n = proc.worldSize();
-  const int me = proc.rank();
-  if (sizes[me] > 0) {
-    std::memcpy(full.bytes.data() + offs[me], mine.bytes.data(), sizes[me]);
-  }
-  std::vector<RequestPtr> reqs;
-  for (int r = 0; r < n; ++r) {
-    if (r == me) continue;
-    if (sizes[r] > 0) {
-      reqs.push_back(co_await proc.irecv(full.subspan(offs[r], sizes[r]),
-                                         ddt::Datatype::byte(), sizes[r], r,
-                                         tag + r));
-    }
-    if (sizes[me] > 0) {
-      reqs.push_back(co_await proc.isend(mine, ddt::Datatype::byte(),
-                                         sizes[me], r, tag + me));
-    }
-  }
-  co_await proc.waitall(std::move(reqs));
+/// Copy this rank's payload into its slot of a concatenation.
+void copyOwnSlot(gpu::MemSpan full, std::size_t offset,
+                 const gpu::MemSpan& mine, std::size_t bytes) {
+  if (bytes == 0) return;
+  std::memcpy(full.bytes.data() + offset, mine.bytes.data(), bytes);
 }
 
-/// Classic ring allgather: n-1 steps, each step forwards the block that
-/// arrived the step before to the right neighbor. Two messages in flight
-/// per rank per step regardless of n.
-sim::Task<void> ringAllgatherBytes(Proc& proc,
-                                   const std::vector<std::size_t>& sizes,
-                                   const std::vector<std::size_t>& offs,
-                                   gpu::MemSpan mine, gpu::MemSpan full,
-                                   int tag) {
-  const int n = proc.worldSize();
-  const int me = proc.rank();
-  if (sizes[me] > 0) {
-    std::memcpy(full.bytes.data() + offs[me], mine.bytes.data(), sizes[me]);
-  }
-  const int right = (me + 1) % n;
-  const int left = (me - 1 + n) % n;
-  for (int s = 1; s < n; ++s) {
-    const int src_out = (me - s + 1 + n) % n;  // block I forward this step
-    const int src_in = (me - s + n) % n;       // block that arrives
-    std::vector<RequestPtr> reqs;
-    if (sizes[src_in] > 0) {
-      reqs.push_back(co_await proc.irecv(
-          full.subspan(offs[src_in], sizes[src_in]), ddt::Datatype::byte(),
-          sizes[src_in], left, tag + s));
-    }
-    if (sizes[src_out] > 0) {
-      reqs.push_back(co_await proc.isend(
-          full.subspan(offs[src_out], sizes[src_out]), ddt::Datatype::byte(),
-          sizes[src_out], right, tag + s));
-    }
-    co_await proc.waitall(std::move(reqs));
-  }
+/// Append a post of `buf`'s bytes; a zero-size payload posts nothing.
+void postBytes(Round& round, bool send, gpu::MemSpan buf, int peer, int tag) {
+  if (buf.size() == 0) return;
+  round.push_back({send, buf, ddt::Datatype::byte(), buf.size(), peer, tag});
 }
 
-/// Star gather: everyone sends its payload straight to `root`, which ends
-/// with the full concatenation (other ranks' `full` stays untouched).
-sim::Task<void> flatGatherBytes(Proc& proc, int root,
-                                const std::vector<std::size_t>& sizes,
-                                const std::vector<std::size_t>& offs,
-                                gpu::MemSpan mine, gpu::MemSpan full,
-                                int tag) {
-  const int n = proc.worldSize();
-  const int me = proc.rank();
-  if (me == root) {
-    if (sizes[me] > 0) {
-      std::memcpy(full.bytes.data() + offs[me], mine.bytes.data(), sizes[me]);
-    }
-    std::vector<RequestPtr> reqs;
-    for (int r = 0; r < n; ++r) {
-      if (r == root || sizes[r] == 0) continue;
-      reqs.push_back(co_await proc.irecv(full.subspan(offs[r], sizes[r]),
-                                         ddt::Datatype::byte(), sizes[r], r,
-                                         tag + r));
-    }
-    co_await proc.waitall(std::move(reqs));
-  } else if (sizes[me] > 0) {
-    auto req = co_await proc.isend(mine, ddt::Datatype::byte(), sizes[me],
-                                   root, tag + me);
-    co_await proc.wait(req);
-  }
+/// Append a typed post of a resolved block; an empty block posts nothing.
+void postBlock(Round& round, bool send, const gpu::MemSpan& buf,
+               const BlockView& bv, int peer, int tag) {
+  if (bv.packed == 0) return;
+  round.push_back({send, blockSpan(buf, bv), bv.type, bv.count, peer, tag});
 }
 
 // ---- k-ary range tree -------------------------------------------------
@@ -282,106 +176,44 @@ TreeNode treeNodeOf(int rel, int n, int radix) {
   return node;
 }
 
-/// Gather the rel-rank-major concatenation of per-rank payloads to the
-/// root. `sizes` is indexed by absolute rank; at the rank `root` the
-/// result lands in `full` (rel-rank-major: slot i holds the payload of
-/// absolute rank absRank(i, root, n)). Other ranks' `full` is unused.
+/// Range-tree gather: the concatenation lands in the root's `full`; other
+/// ranks stage their subtree in scratch and leave `full` unused.
 sim::Task<void> treeGatherBytes(Proc& proc, int root, int radix,
                                 const std::vector<std::size_t>& sizes,
                                 gpu::MemSpan mine, gpu::MemSpan full,
                                 int tag) {
   const int n = proc.worldSize();
-  const int me_rel = relRank(proc.rank(), root, n);
-  std::vector<std::size_t> rel_sizes(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    rel_sizes[static_cast<std::size_t>(i)] =
-        sizes[static_cast<std::size_t>(absRank(i, root, n))];
+  const int me = proc.rank();
+  const TreeNode node = treeNodeOf(relRank(me, root, n), n, radix);
+  std::size_t sub_bytes = 0;
+  for (int i = node.lo; i < node.hi; ++i) {
+    sub_bytes += sizes[absRank(i, root, n)];
   }
-  const auto offs = prefixOffsets(rel_sizes);
-  const TreeNode node = treeNodeOf(me_rel, n, radix);
-  const std::size_t sub_off = offs[static_cast<std::size_t>(node.lo)];
-  const std::size_t sub_bytes =
-      offs[static_cast<std::size_t>(node.hi)] - sub_off;
-
-  gpu::MemSpan buf{};
-  bool owned = false;
-  if (me_rel == 0) {
-    DKF_CHECK(full.size() >= sub_bytes);
-    buf = full;
-  } else if (sub_bytes > 0) {
-    buf = proc.allocDevice(sub_bytes);
-    owned = true;
-  }
-  if (rel_sizes[static_cast<std::size_t>(me_rel)] > 0) {
-    std::memcpy(buf.bytes.data(), mine.bytes.data(),
-                rel_sizes[static_cast<std::size_t>(me_rel)]);
-  }
-  std::vector<RequestPtr> reqs;
-  for (const auto& [clo, chi] : treeChildren(node.lo, node.hi, radix)) {
-    const std::size_t child_bytes =
-        offs[static_cast<std::size_t>(chi)] - offs[static_cast<std::size_t>(clo)];
-    if (child_bytes == 0) continue;
-    reqs.push_back(co_await proc.irecv(
-        buf.subspan(offs[static_cast<std::size_t>(clo)] - sub_off, child_bytes),
-        ddt::Datatype::byte(), child_bytes, absRank(clo, root, n), tag + clo));
-  }
-  co_await proc.waitall(std::move(reqs));
-  if (node.parent >= 0 && sub_bytes > 0) {
-    auto req = co_await proc.isend(buf.subspan(0, sub_bytes),
-                                   ddt::Datatype::byte(), sub_bytes,
-                                   absRank(node.parent, root, n),
-                                   tag + node.lo);
-    co_await proc.wait(req);
-  }
-  if (owned) proc.freeDevice(buf);
-}
-
-/// Send `bytes` of `buf` from the root down the same range tree; on exit
-/// every rank's `buf` holds the payload.
-sim::Task<void> treeBcastBytes(Proc& proc, int root, int radix,
-                               gpu::MemSpan buf, std::size_t bytes,
-                               int tag) {
-  if (bytes == 0) co_return;
-  const int n = proc.worldSize();
-  const int me_rel = relRank(proc.rank(), root, n);
-  const TreeNode node = treeNodeOf(me_rel, n, radix);
-  if (me_rel != 0) {
-    auto req = co_await proc.irecv(buf.subspan(0, bytes),
-                                   ddt::Datatype::byte(), bytes,
-                                   absRank(node.parent, root, n),
-                                   tag + node.lo);
-    co_await proc.wait(req);
-  }
-  std::vector<RequestPtr> reqs;
-  for (const auto& [clo, chi] : treeChildren(node.lo, node.hi, radix)) {
-    reqs.push_back(co_await proc.isend(buf.subspan(0, bytes),
-                                       ddt::Datatype::byte(), bytes,
-                                       absRank(clo, root, n), tag + clo));
-  }
-  co_await proc.waitall(std::move(reqs));
+  const bool staged = me != root && sub_bytes > 0;
+  const gpu::MemSpan buf = staged ? proc.allocDevice(sub_bytes) : full;
+  DKF_CHECK(buf.size() >= sub_bytes);
+  copyOwnSlot(buf, 0, mine, sizes[me]);
+  const Schedule sched = treeGather(me, n, root, radix, sizes, buf, tag);
+  co_await runSchedule(proc, sched);
+  if (staged) proc.freeDevice(buf);
 }
 
 // ---- Canonical fold ---------------------------------------------------
 
 /// res := contribution of abs rank 0, then folded with abs ranks 1..n-1 in
-/// order. `slot_of(r)` maps an absolute rank to its slot index inside the
-/// concatenation (identity for abs-major buffers, rel-rank remap for tree
-/// gathers rooted elsewhere). The pinned order is what makes Float64
-/// results byte-identical across flat/ring/tree.
+/// order. Slot 0 of the concatenation holds rank `first`'s payload (0 for
+/// abs-major buffers; tree gathers rooted elsewhere concatenate in rel-rank
+/// order). The pinned order is what makes Float64 results byte-identical
+/// across flat/ring/tree.
 void foldContributions(gpu::MemSpan res, const gpu::MemSpan& full,
-                       const std::vector<std::size_t>& offs, int n,
-                       const std::function<int(int)>& slot_of,
+                       const std::vector<std::size_t>& offs, int n, int first,
                        std::size_t elems, ReduceType type, ReduceOp op) {
   const std::size_t bytes = elems * elementSize(type);
-  std::memcpy(res.bytes.data(),
-              full.bytes.data() + offs[static_cast<std::size_t>(slot_of(0))],
-              bytes);
-  for (int r = 1; r < n; ++r) {
-    applyReduce(res.bytes,
-                full.bytes.subspan(
-                    offs[static_cast<std::size_t>(slot_of(r))], bytes),
-                elems, type, op);
-  }
+  const auto slot = [&](int r) {
+    return full.bytes.subspan(offs[relRank(r, first, n)], bytes);
+  };
+  std::memcpy(res.bytes.data(), slot(0).data(), bytes);
+  for (int r = 1; r < n; ++r) applyReduce(res.bytes, slot(r), elems, type, op);
 }
 
 void validateTuning(const CollTuning& tuning) {
@@ -415,17 +247,14 @@ struct BruckChunk {
   net::PayloadRef bytes;  // staged in the payload pool (single capture)
 };
 
-constexpr std::size_t kBruckHeaderBytes =
-    sizeof(std::int32_t) * 2 + sizeof(std::uint64_t);
-
-void writeChunkHeader(std::byte* out, const BruckChunk& c) {
-  const auto src = static_cast<std::int32_t>(c.src);
-  const auto dst = static_cast<std::int32_t>(c.dst);
-  const auto len = static_cast<std::uint64_t>(c.bytes.size());
-  std::memcpy(out, &src, sizeof(src));
-  std::memcpy(out + sizeof(src), &dst, sizeof(dst));
-  std::memcpy(out + sizeof(src) + sizeof(dst), &len, sizeof(len));
-}
+/// What precedes each chunk in an aggregated payload.
+struct ChunkHeader {
+  std::int32_t src;
+  std::int32_t dst;
+  std::uint64_t len;
+};
+static_assert(std::has_unique_object_representations_v<ChunkHeader>);
+constexpr std::size_t kBruckHeaderBytes = sizeof(ChunkHeader);
 
 /// Store-and-forward alltoallv: each block is packed once at its origin,
 /// then routed as an opaque chunk tagged (src, dst, len). In round k a
@@ -436,8 +265,6 @@ void writeChunkHeader(std::byte* out, const BruckChunk& c) {
 /// hops never touch the datatype — pack and unpack happen exactly once.
 sim::Task<void> bruckAlltoallv(Proc& proc, gpu::MemSpan send,
                                gpu::MemSpan recv,
-                               const std::vector<VBlock>& send_blocks,
-                               const std::vector<VBlock>& recv_blocks,
                                const std::vector<BlockView>& send_views,
                                const std::vector<BlockView>& recv_views,
                                int radix, int rounds, int tag) {
@@ -445,7 +272,7 @@ sim::Task<void> bruckAlltoallv(Proc& proc, gpu::MemSpan send,
   const int me = proc.rank();
 
   // Pack every outgoing block at the origin (self already handled by the
-  // caller). The pack plan was warmed once; every iteration binds it.
+  // caller).
   std::vector<BruckChunk> pending;
   std::size_t max_packed = 0;
   for (int d = 0; d < n; ++d) {
@@ -456,16 +283,12 @@ sim::Task<void> bruckAlltoallv(Proc& proc, gpu::MemSpan send,
     for (int d = 0; d < n; ++d) {
       const BlockView& bv = send_views[static_cast<std::size_t>(d)];
       if (d == me || bv.packed == 0) continue;
-      co_await proc.pack(blockSpan(send, bv),
-                         send_blocks[static_cast<std::size_t>(d)].type,
-                         send_blocks[static_cast<std::size_t>(d)].count,
+      co_await proc.pack(blockSpan(send, bv), bv.type, bv.count,
                          scratch.subspan(0, bv.packed));
-      BruckChunk c;
-      c.src = me;
-      c.dst = d;
-      c.bytes = proc.payloadPool().capture(
-          {scratch.bytes.data(), bv.packed});
-      pending.push_back(std::move(c));
+      pending.push_back({.src = me,
+                         .dst = d,
+                         .bytes = proc.payloadPool().capture(
+                             {scratch.bytes.data(), bv.packed})});
     }
     proc.freeDevice(scratch);
   }
@@ -507,7 +330,8 @@ sim::Task<void> bruckAlltoallv(Proc& proc, gpu::MemSpan send,
         round_scratch.push_back(payload);
         std::size_t pos = 0;
         for (const BruckChunk& c : out) {
-          writeChunkHeader(payload.bytes.data() + pos, c);
+          const ChunkHeader h{c.src, c.dst, c.bytes.size()};
+          std::memcpy(payload.bytes.data() + pos, &h, kBruckHeaderBytes);
           pos += kBruckHeaderBytes;
           std::memcpy(payload.bytes.data() + pos, c.bytes.data(),
                       c.bytes.size());
@@ -543,35 +367,25 @@ sim::Task<void> bruckAlltoallv(Proc& proc, gpu::MemSpan send,
       co_await proc.wait(preq);
       std::size_t pos = 0;
       while (pos < payload_bytes) {
-        std::int32_t csrc = 0, cdst = 0;
-        std::uint64_t clen = 0;
-        std::memcpy(&csrc, payload.bytes.data() + pos, sizeof(csrc));
-        std::memcpy(&cdst, payload.bytes.data() + pos + sizeof(csrc),
-                    sizeof(cdst));
-        std::memcpy(&clen,
-                    payload.bytes.data() + pos + sizeof(csrc) + sizeof(cdst),
-                    sizeof(clen));
+        ChunkHeader h;
+        std::memcpy(&h, payload.bytes.data() + pos, kBruckHeaderBytes);
         pos += kBruckHeaderBytes;
-        DKF_CHECK(pos + clen <= payload_bytes);
-        if (cdst == me) {
-          const BlockView& bv = recv_views[static_cast<std::size_t>(csrc)];
-          DKF_CHECK_MSG(clen == bv.packed,
+        DKF_CHECK(pos + h.len <= payload_bytes);
+        if (h.dst == me) {
+          const BlockView& bv = recv_views[static_cast<std::size_t>(h.src)];
+          DKF_CHECK_MSG(h.len == bv.packed,
                         "alltoallv block size mismatch: rank "
-                            << csrc << " sent " << clen << " bytes, rank "
+                            << h.src << " sent " << h.len << " bytes, rank "
                             << me << " expects " << bv.packed);
-          co_await proc.unpack(payload.subspan(pos, clen),
-                               blockSpan(recv, bv),
-                               recv_blocks[static_cast<std::size_t>(csrc)].type,
-                               recv_blocks[static_cast<std::size_t>(csrc)].count);
+          co_await proc.unpack(payload.subspan(pos, h.len),
+                               blockSpan(recv, bv), bv.type, bv.count);
         } else {
-          BruckChunk c;
-          c.src = csrc;
-          c.dst = cdst;
-          c.bytes = proc.payloadPool().capture(
-              {payload.bytes.data() + pos, clen});
-          pending.push_back(std::move(c));
+          pending.push_back({.src = h.src,
+                             .dst = h.dst,
+                             .bytes = proc.payloadPool().capture(
+                                 {payload.bytes.data() + pos, h.len})});
         }
-        pos += clen;
+        pos += h.len;
       }
       proc.freeDevice(payload);
     }
@@ -586,6 +400,207 @@ sim::Task<void> bruckAlltoallv(Proc& proc, gpu::MemSpan send,
 
 }  // namespace
 
+// ---- The executor and the schedule generators (schedule.hpp) ----------
+
+sim::Task<void> runSchedule(Proc& proc, const Schedule& schedule) {
+  for (const Round& round : schedule) {
+    std::vector<RequestPtr> reqs;
+    for (const Post& p : round) {
+      if (p.send) {
+        reqs.push_back(
+            co_await proc.isend(p.buf, p.type, p.count, p.peer, p.tag));
+      } else {
+        reqs.push_back(
+            co_await proc.irecv(p.buf, p.type, p.count, p.peer, p.tag));
+      }
+    }
+    co_await proc.waitall(std::move(reqs));
+  }
+}
+
+Schedule flatAllgather(int me, int n, const std::vector<std::size_t>& sizes,
+                       gpu::MemSpan mine, gpu::MemSpan full, int tag) {
+  const auto offs = prefixOffsets(sizes);
+  Schedule sched(1);
+  for (int r = 0; r < n; ++r) {
+    if (r == me) continue;
+    postBytes(sched[0], false, full.subspan(offs[r], sizes[r]), r, tag + r);
+    postBytes(sched[0], true, mine.subspan(0, sizes[me]), r, tag + me);
+  }
+  return sched;
+}
+
+Schedule ringAllgather(int me, int n, const std::vector<std::size_t>& sizes,
+                       gpu::MemSpan full, int tag) {
+  const auto offs = prefixOffsets(sizes);
+  const auto slot = [&](int r) { return full.subspan(offs[r], sizes[r]); };
+  const int right = (me + 1) % n;
+  const int left = (me - 1 + n) % n;
+  Schedule sched;
+  for (int s = 1; s < n; ++s) {
+    const int src_out = (me - s + 1 + n) % n;  // block I forward this step
+    const int src_in = (me - s + n) % n;       // block that arrives
+    Round& round = sched.emplace_back();
+    postBytes(round, false, slot(src_in), left, tag + s);
+    postBytes(round, true, slot(src_out), right, tag + s);
+  }
+  return sched;
+}
+
+Schedule flatGather(int me, int n, int root,
+                    const std::vector<std::size_t>& sizes, gpu::MemSpan mine,
+                    gpu::MemSpan full, int tag) {
+  Schedule sched;
+  if (me == root) {
+    const auto offs = prefixOffsets(sizes);
+    Round& round = sched.emplace_back();
+    for (int r = 0; r < n; ++r) {
+      if (r == root) continue;
+      postBytes(round, false, full.subspan(offs[r], sizes[r]), r, tag + r);
+    }
+  } else if (sizes[me] > 0) {
+    postBytes(sched.emplace_back(), true, mine.subspan(0, sizes[me]), root,
+              tag + me);
+  }
+  return sched;
+}
+
+Schedule treeGather(int me, int n, int root, int radix,
+                    const std::vector<std::size_t>& sizes, gpu::MemSpan buf,
+                    int tag) {
+  std::vector<std::size_t> rel_sizes(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) rel_sizes[i] = sizes[absRank(i, root, n)];
+  const auto offs = prefixOffsets(rel_sizes);
+  const TreeNode node = treeNodeOf(relRank(me, root, n), n, radix);
+  const std::size_t sub_off = offs[node.lo];
+  const std::size_t sub_bytes = offs[node.hi] - sub_off;
+  Schedule sched(1);  // leaves wait on no receives
+  for (const auto& [clo, chi] : treeChildren(node.lo, node.hi, radix)) {
+    const auto child = buf.subspan(offs[clo] - sub_off, offs[chi] - offs[clo]);
+    postBytes(sched[0], false, child, absRank(clo, root, n), tag + clo);
+  }
+  if (node.parent >= 0 && sub_bytes > 0) {
+    postBytes(sched.emplace_back(), true, buf.subspan(0, sub_bytes),
+              absRank(node.parent, root, n), tag + node.lo);
+  }
+  return sched;
+}
+
+Schedule treeBcast(int me, int n, int root, int radix, gpu::MemSpan buf,
+                   std::size_t bytes, int tag) {
+  Schedule sched;
+  if (bytes == 0) return sched;
+  const int me_rel = relRank(me, root, n);
+  const TreeNode node = treeNodeOf(me_rel, n, radix);
+  const gpu::MemSpan payload = buf.subspan(0, bytes);
+  if (me_rel != 0) {
+    postBytes(sched.emplace_back(), false, payload,
+              absRank(node.parent, root, n), tag + node.lo);
+  }
+  Round& sends = sched.emplace_back();  // leaves wait on no sends
+  for (const auto& [clo, chi] : treeChildren(node.lo, node.hi, radix)) {
+    postBytes(sends, true, payload, absRank(clo, root, n), tag + clo);
+  }
+  return sched;
+}
+
+Schedule binomialBcast(int me, int n, int root, gpu::MemSpan buf,
+                       const ddt::DatatypePtr& type, std::size_t count,
+                       int tag) {
+  // A rank receives from the rank that clears the lowest set bit of its
+  // relative rank, then forwards to me + mask/2, me + mask/4, ... below it.
+  const int me_rel = relRank(me, root, n);
+  int mask = 1;
+  while (mask < n && (me_rel & mask) == 0) mask <<= 1;
+  Schedule sched;
+  if (me_rel != 0) {
+    sched.emplace_back().push_back(Post{false, buf, type, count,
+                                        absRank(me_rel - mask, root, n),
+                                        tag + me_rel});
+  }
+  Round& sends = sched.emplace_back();  // leaves wait on no sends
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    const int child_rel = me_rel + mask;
+    if (child_rel >= n) continue;
+    sends.push_back(Post{true, buf, type, count, absRank(child_rel, root, n),
+                         tag + child_rel});
+  }
+  return sched;
+}
+
+Schedule uniformGather(int me, int n, int root, gpu::MemSpan send,
+                       gpu::MemSpan recv, std::size_t bytes_per_rank,
+                       int tag) {
+  const auto byte = ddt::Datatype::byte();
+  Schedule sched(1);
+  if (me != root) {
+    sched[0].push_back(Post{true, send, byte, bytes_per_rank, root, tag + me});
+    return sched;
+  }
+  for (int r = 0; r < n; ++r) {
+    if (r == root) continue;
+    const auto off = static_cast<std::size_t>(r) * bytes_per_rank;
+    sched[0].push_back(Post{false, recv.subspan(off, bytes_per_rank), byte,
+                            bytes_per_rank, r, tag + r});
+  }
+  return sched;
+}
+
+Schedule uniformAlltoall(int me, int n, gpu::MemSpan send, gpu::MemSpan recv,
+                         std::size_t bytes_per_rank, int tag) {
+  const auto byte = ddt::Datatype::byte();
+  Schedule sched(1);
+  for (int r = 0; r < n; ++r) {
+    if (r == me) continue;
+    const auto off = static_cast<std::size_t>(r) * bytes_per_rank;
+    sched[0].push_back(Post{false, recv.subspan(off, bytes_per_rank), byte,
+                            bytes_per_rank, r, tag + me});
+    sched[0].push_back(Post{true, send.subspan(off, bytes_per_rank), byte,
+                            bytes_per_rank, r, tag + r});
+  }
+  return sched;
+}
+
+Schedule flatAlltoallv(int me, int n, gpu::MemSpan send, gpu::MemSpan recv,
+                       const std::vector<BlockView>& send_views,
+                       const std::vector<BlockView>& recv_views, int tag) {
+  Schedule sched(1);
+  for (int r = 0; r < n; ++r) {
+    if (r == me) continue;
+    postBlock(sched[0], false, recv, recv_views[r], r, tag + r);
+    postBlock(sched[0], true, send, send_views[r], r, tag + me);
+  }
+  return sched;
+}
+
+Schedule ringAlltoallv(int me, int n, gpu::MemSpan send, gpu::MemSpan recv,
+                       const std::vector<BlockView>& send_views,
+                       const std::vector<BlockView>& recv_views, int tag) {
+  Schedule sched;
+  for (int s = 1; s < n; ++s) {
+    const int out = (me + s) % n;
+    const int in = (me - s + n) % n;
+    Round& round = sched.emplace_back();
+    postBlock(round, false, recv, recv_views[in], in, tag + s);
+    postBlock(round, true, send, send_views[out], out, tag + s);
+  }
+  return sched;
+}
+
+Schedule neighborExchange(gpu::MemSpan buf, const std::vector<NeighborOp>& ops,
+                          int tag) {
+  Schedule sched(1);
+  for (const NeighborOp& op : ops) {
+    sched[0].push_back(
+        Post{false, buf, op.recv_type, 1, op.neighbor, tag + op.recv_tag});
+    sched[0].push_back(
+        Post{true, buf, op.send_type, 1, op.neighbor, tag + op.send_tag});
+  }
+  return sched;
+}
+
+// ---- Collectives ---------------------------------------------------------
+
 const char* collAlgoName(CollAlgo algo) {
   switch (algo) {
     case CollAlgo::Flat: return "flat";
@@ -599,34 +614,9 @@ sim::Task<void> bcast(Proc& proc, gpu::MemSpan buf, ddt::DatatypePtr type,
                       std::size_t count, int root) {
   const int n = proc.worldSize();
   DKF_CHECK(root >= 0 && root < n);
-  const int tag = proc.allocCollectiveTags(n);
-  const int me = relRank(proc.rank(), root, n);
-
-  // Binomial tree: in round k (mask = 1<<k), ranks below the mask send to
-  // rank + mask.
-  int mask = 1;
-  // Receive phase: find my parent (the lowest set bit of my relative rank).
-  if (me != 0) {
-    while ((me & mask) == 0) mask <<= 1;
-    const int parent = absRank(me - mask, root, n);
-    auto req = co_await proc.irecv(buf, type, count, parent, tag + me);
-    co_await proc.wait(req);
-  } else {
-    while (mask < n) mask <<= 1;
-  }
-  // Send phase: forward to children (me + mask/2, me + mask/4, ...).
-  mask >>= 1;
-  std::vector<RequestPtr> sends;
-  while (mask > 0) {
-    if (me + mask < n && (me & (mask - 1)) == 0 && (me & mask) == 0) {
-      const int child_rel = me + mask;
-      sends.push_back(co_await proc.isend(buf, type, count,
-                                          absRank(child_rel, root, n),
-                                          tag + child_rel));
-    }
-    mask >>= 1;
-  }
-  co_await proc.waitall(std::move(sends));
+  const Schedule sched = binomialBcast(proc.rank(), n, root, buf, type, count,
+                                       proc.allocCollectiveTags(n));
+  co_await runSchedule(proc, sched);
 }
 
 sim::Task<void> reduce(Proc& proc, gpu::MemSpan buf, std::size_t count,
@@ -648,27 +638,29 @@ sim::Task<void> reduce(Proc& proc, gpu::MemSpan buf, std::size_t count,
   // then fold them in absolute rank order — the combine order is pinned,
   // so every algorithm produces bit-identical Float64 results.
   gpu::MemSpan full{};
-  const bool need_full =
-      tuning.algo == CollAlgo::Ring || me == root;
+  const bool need_full = tuning.algo == CollAlgo::Ring || me == root;
   if (need_full) full = proc.allocDevice(std::max<std::size_t>(offs.back(), 1));
   switch (tuning.algo) {
     case CollAlgo::Flat:
-      co_await flatGatherBytes(proc, root, sizes, offs, mine, full, tag);
+    case CollAlgo::Ring: {
+      if (need_full) copyOwnSlot(full, offs[me], mine, bytes);
+      Schedule sched;
+      if (tuning.algo == CollAlgo::Flat) {
+        sched = flatGather(me, n, root, sizes, mine, full, tag);
+      } else {
+        sched = ringAllgather(me, n, sizes, full, tag);
+      }
+      co_await runSchedule(proc, sched);
       break;
-    case CollAlgo::Ring:
-      co_await ringAllgatherBytes(proc, sizes, offs, mine, full, tag);
-      break;
+    }
     case CollAlgo::Tree:
       co_await treeGatherBytes(proc, root, tuning.radix, sizes, mine, full,
                                tag);
       break;
   }
   if (me == root) {
-    // Tree gathers concatenate in rel-rank order when rooted off rank 0.
-    const auto slot_of = [&](int r) {
-      return tuning.algo == CollAlgo::Tree ? relRank(r, root, n) : r;
-    };
-    foldContributions(mine, full, offs, n, slot_of, count, type, op);
+    const int first = tuning.algo == CollAlgo::Tree ? root : 0;
+    foldContributions(mine, full, offs, n, first, count, type, op);
   }
   if (need_full) proc.freeDevice(full);
 }
@@ -700,16 +692,13 @@ sim::Task<void> allreduceDdt(Proc& proc, gpu::MemSpan buf,
   const std::size_t elems = bytes / esize;
   const int me = proc.rank();
 
-  // Contiguous layouts contribute in place; strided ones pack once through
-  // the cached plan (and scatter the result back the same way).
+  // Contiguous layouts contribute in place; strided ones pack once (and
+  // scatter the result back the same way).
   const bool contiguous = bv.layout->isContiguous() && bv.layout->minOffset() == 0;
   gpu::MemSpan contrib{};
   if (contiguous) {
     contrib = buf.subspan(0, bytes);
   } else {
-    const std::vector<BlockView> views{bv};
-    warmBlockPlans(proc, core::FusionOp::Packing, views);
-    warmBlockPlans(proc, core::FusionOp::Unpacking, views);
     contrib = proc.allocDevice(bytes);
     co_await proc.pack(blockSpan(buf, bv), type, count, contrib);
   }
@@ -717,7 +706,6 @@ sim::Task<void> allreduceDdt(Proc& proc, gpu::MemSpan buf,
   const std::vector<std::size_t> sizes(static_cast<std::size_t>(n), bytes);
   const auto offs = prefixOffsets(sizes);
   auto res = proc.allocDevice(bytes);
-  const auto identity = [](int r) { return r; };
 
   switch (tuning.algo) {
     case CollAlgo::Flat:
@@ -726,12 +714,15 @@ sim::Task<void> allreduceDdt(Proc& proc, gpu::MemSpan buf,
       // pinned sequence locally.
       const int tag = proc.allocCollectiveTags(n);
       auto full = proc.allocDevice(offs.back());
+      copyOwnSlot(full, offs[me], contrib, bytes);
+      Schedule sched;
       if (tuning.algo == CollAlgo::Flat) {
-        co_await flatAllgatherBytes(proc, sizes, offs, contrib, full, tag);
+        sched = flatAllgather(me, n, sizes, contrib, full, tag);
       } else {
-        co_await ringAllgatherBytes(proc, sizes, offs, contrib, full, tag);
+        sched = ringAllgather(me, n, sizes, full, tag);
       }
-      foldContributions(res, full, offs, n, identity, elems, elem, op);
+      co_await runSchedule(proc, sched);
+      foldContributions(res, full, offs, n, 0, elems, elem, op);
       proc.freeDevice(full);
       break;
     }
@@ -745,11 +736,12 @@ sim::Task<void> allreduceDdt(Proc& proc, gpu::MemSpan buf,
       co_await treeGatherBytes(proc, /*root=*/0, tuning.radix, sizes, contrib,
                                full, tag_up);
       if (me == 0) {
-        foldContributions(res, full, offs, n, identity, elems, elem, op);
+        foldContributions(res, full, offs, n, 0, elems, elem, op);
         proc.freeDevice(full);
       }
-      co_await treeBcastBytes(proc, /*root=*/0, tuning.radix, res, bytes,
-                              tag_down);
+      const Schedule down =
+          treeBcast(me, n, /*root=*/0, tuning.radix, res, bytes, tag_down);
+      co_await runSchedule(proc, down);
       break;
     }
   }
@@ -766,55 +758,32 @@ sim::Task<void> allreduceDdt(Proc& proc, gpu::MemSpan buf,
 sim::Task<void> gather(Proc& proc, gpu::MemSpan send, gpu::MemSpan recv,
                        std::size_t bytes_per_rank, int root) {
   const int n = proc.worldSize();
+  const int me = proc.rank();
   const int tag = proc.allocCollectiveTags(n);
-  if (proc.rank() == root) {
-    DKF_CHECK(send.size() >= bytes_per_rank);
+  DKF_CHECK(send.size() >= bytes_per_rank);
+  if (me == root) {
     DKF_CHECK(recv.size() >= bytes_per_rank * static_cast<std::size_t>(n));
-    std::vector<RequestPtr> reqs;
-    for (int r = 0; r < n; ++r) {
-      if (r == root) {
-        std::memcpy(recv.bytes.data() +
-                        static_cast<std::size_t>(r) * bytes_per_rank,
-                    send.bytes.data(), bytes_per_rank);
-        continue;
-      }
-      reqs.push_back(co_await proc.irecv(
-          recv.subspan(static_cast<std::size_t>(r) * bytes_per_rank,
-                       bytes_per_rank),
-          ddt::Datatype::byte(), bytes_per_rank, r, tag + r));
-    }
-    co_await proc.waitall(std::move(reqs));
-  } else {
-    DKF_CHECK(send.size() >= bytes_per_rank);
-    auto req = co_await proc.isend(send, ddt::Datatype::byte(),
-                                   bytes_per_rank, root,
-                                   tag + proc.rank());
-    co_await proc.wait(req);
+    const auto own = static_cast<std::size_t>(me) * bytes_per_rank;
+    std::memcpy(recv.bytes.data() + own, send.bytes.data(), bytes_per_rank);
   }
+  const Schedule sched =
+      uniformGather(me, n, root, send, recv, bytes_per_rank, tag);
+  co_await runSchedule(proc, sched);
 }
 
 sim::Task<void> alltoall(Proc& proc, gpu::MemSpan send, gpu::MemSpan recv,
                          std::size_t bytes_per_rank) {
   const int n = proc.worldSize();
+  const int me = proc.rank();
   const int tag = proc.allocCollectiveTags(n);
   DKF_CHECK(send.size() >= bytes_per_rank * static_cast<std::size_t>(n));
   DKF_CHECK(recv.size() >= bytes_per_rank * static_cast<std::size_t>(n));
-  std::vector<RequestPtr> reqs;
-  for (int r = 0; r < n; ++r) {
-    const auto off = static_cast<std::size_t>(r) * bytes_per_rank;
-    if (r == proc.rank()) {
-      std::memcpy(recv.bytes.data() + off, send.bytes.data() + off,
-                  bytes_per_rank);
-      continue;
-    }
-    reqs.push_back(co_await proc.irecv(recv.subspan(off, bytes_per_rank),
-                                       ddt::Datatype::byte(), bytes_per_rank,
-                                       r, tag + proc.rank()));
-    reqs.push_back(co_await proc.isend(send.subspan(off, bytes_per_rank),
-                                       ddt::Datatype::byte(), bytes_per_rank,
-                                       r, tag + r));
-  }
-  co_await proc.waitall(std::move(reqs));
+  const auto own = static_cast<std::size_t>(me) * bytes_per_rank;
+  std::memcpy(recv.bytes.data() + own, send.bytes.data() + own,
+              bytes_per_rank);
+  const Schedule sched =
+      uniformAlltoall(me, n, send, recv, bytes_per_rank, tag);
+  co_await runSchedule(proc, sched);
 }
 
 sim::Task<void> alltoallv(Proc& proc, gpu::MemSpan send, gpu::MemSpan recv,
@@ -828,95 +797,49 @@ sim::Task<void> alltoallv(Proc& proc, gpu::MemSpan send, gpu::MemSpan recv,
                     recv_blocks.size() == static_cast<std::size_t>(n),
                 "alltoallv needs one send and one recv block per rank");
   std::vector<BlockView> send_views, recv_views;
-  send_views.reserve(send_blocks.size());
-  recv_views.reserve(recv_blocks.size());
   for (int r = 0; r < n; ++r) {
     send_views.push_back(resolveBlock(
         proc, send_blocks[static_cast<std::size_t>(r)], send, "alltoallv send"));
     recv_views.push_back(resolveBlock(
         proc, recv_blocks[static_cast<std::size_t>(r)], recv, "alltoallv recv"));
   }
-  warmBlockPlans(proc, core::FusionOp::Packing, send_views);
-  warmBlockPlans(proc, core::FusionOp::Unpacking, recv_views);
 
   // The self block moves locally through the same pack/unpack plans every
   // topology uses, so all variants write identical bytes.
-  if (send_views[static_cast<std::size_t>(me)].packed > 0) {
-    const BlockView& sv = send_views[static_cast<std::size_t>(me)];
-    const BlockView& rv = recv_views[static_cast<std::size_t>(me)];
+  const BlockView& sv = send_views[static_cast<std::size_t>(me)];
+  const BlockView& rv = recv_views[static_cast<std::size_t>(me)];
+  if (sv.packed > 0) {
     DKF_CHECK_MSG(sv.packed == rv.packed,
                   "alltoallv self block sizes disagree: " << sv.packed
                                                           << " vs "
                                                           << rv.packed);
     auto scratch = proc.allocDevice(sv.packed);
-    co_await proc.pack(blockSpan(send, sv),
-                       send_blocks[static_cast<std::size_t>(me)].type,
-                       send_blocks[static_cast<std::size_t>(me)].count,
-                       scratch);
-    co_await proc.unpack(scratch, blockSpan(recv, rv),
-                         recv_blocks[static_cast<std::size_t>(me)].type,
-                         recv_blocks[static_cast<std::size_t>(me)].count);
+    co_await proc.pack(blockSpan(send, sv), sv.type, sv.count, scratch);
+    co_await proc.unpack(scratch, blockSpan(recv, rv), rv.type, rv.count);
     proc.freeDevice(scratch);
   }
 
   switch (tuning.algo) {
-    case CollAlgo::Flat: {
-      // Direct typed sends to every peer — the engine packs each message
-      // through the one warmed plan per signature.
-      const int tag = proc.allocCollectiveTags(n);
-      std::vector<RequestPtr> reqs;
-      for (int r = 0; r < n; ++r) {
-        if (r == me) continue;
-        const BlockView& rv = recv_views[static_cast<std::size_t>(r)];
-        if (rv.packed > 0) {
-          reqs.push_back(co_await proc.irecv(
-              blockSpan(recv, rv), recv_blocks[static_cast<std::size_t>(r)].type,
-              recv_blocks[static_cast<std::size_t>(r)].count, r, tag + r));
-        }
-        const BlockView& sv = send_views[static_cast<std::size_t>(r)];
-        if (sv.packed > 0) {
-          reqs.push_back(co_await proc.isend(
-              blockSpan(send, sv), send_blocks[static_cast<std::size_t>(r)].type,
-              send_blocks[static_cast<std::size_t>(r)].count, r, tag + me));
-        }
-      }
-      co_await proc.waitall(std::move(reqs));
-      break;
-    }
+    case CollAlgo::Flat:
     case CollAlgo::Ring: {
-      // Staged pairwise exchange: in step s, send to (me+s) and receive
-      // from (me-s) — two messages in flight per step regardless of n.
+      // Typed posts: the engine packs each message through the rank's one
+      // cached plan per layout signature.
       const int tag = proc.allocCollectiveTags(n);
-      for (int s = 1; s < n; ++s) {
-        const int out = (me + s) % n;
-        const int in = (me - s + n) % n;
-        std::vector<RequestPtr> reqs;
-        const BlockView& rv = recv_views[static_cast<std::size_t>(in)];
-        if (rv.packed > 0) {
-          reqs.push_back(co_await proc.irecv(
-              blockSpan(recv, rv),
-              recv_blocks[static_cast<std::size_t>(in)].type,
-              recv_blocks[static_cast<std::size_t>(in)].count, in, tag + s));
-        }
-        const BlockView& sv = send_views[static_cast<std::size_t>(out)];
-        if (sv.packed > 0) {
-          reqs.push_back(co_await proc.isend(
-              blockSpan(send, sv),
-              send_blocks[static_cast<std::size_t>(out)].type,
-              send_blocks[static_cast<std::size_t>(out)].count, out,
-              tag + s));
-        }
-        co_await proc.waitall(std::move(reqs));
+      Schedule sched;
+      if (tuning.algo == CollAlgo::Flat) {
+        sched = flatAlltoallv(me, n, send, recv, send_views, recv_views, tag);
+      } else {
+        sched = ringAlltoallv(me, n, send, recv, send_views, recv_views, tag);
       }
+      co_await runSchedule(proc, sched);
       break;
     }
     case CollAlgo::Tree: {
       const int rounds = bruckRounds(n, tuning.radix);
       const int tag =
           proc.allocCollectiveTags(std::max(1, rounds * (tuning.radix - 1) * 2));
-      co_await bruckAlltoallv(proc, send, recv, send_blocks, recv_blocks,
-                              send_views, recv_views, tuning.radix, rounds,
-                              tag);
+      co_await bruckAlltoallv(proc, send, recv, send_views, recv_views,
+                              tuning.radix, rounds, tag);
       break;
     }
   }
@@ -931,7 +854,6 @@ sim::Task<void> allgatherv(Proc& proc, gpu::MemSpan send, gpu::MemSpan recv,
   DKF_CHECK_MSG(blocks.size() == static_cast<std::size_t>(n),
                 "allgatherv needs one block per rank");
   std::vector<BlockView> views;
-  views.reserve(blocks.size());
   std::vector<std::size_t> sizes(static_cast<std::size_t>(n), 0);
   for (int r = 0; r < n; ++r) {
     // Every rank's block must fit the *recv* buffer everywhere; the send
@@ -943,29 +865,29 @@ sim::Task<void> allgatherv(Proc& proc, gpu::MemSpan send, gpu::MemSpan recv,
   const BlockView& mine_view = views[static_cast<std::size_t>(me)];
   DKF_CHECK_MSG(mine_view.offset + mine_view.extent <= send.size(),
                 "allgatherv own block exceeds the send buffer");
-  warmBlockPlans(proc, core::FusionOp::Packing, {mine_view});
-  warmBlockPlans(proc, core::FusionOp::Unpacking, views);
 
   const auto offs = prefixOffsets(sizes);
   const std::size_t total = offs.back();
   gpu::MemSpan mine{};
   if (mine_view.packed > 0) {
     mine = proc.allocDevice(mine_view.packed);
-    co_await proc.pack(blockSpan(send, mine_view),
-                       blocks[static_cast<std::size_t>(me)].type,
-                       blocks[static_cast<std::size_t>(me)].count, mine);
+    co_await proc.pack(blockSpan(send, mine_view), mine_view.type,
+                       mine_view.count, mine);
   }
   auto full = proc.allocDevice(std::max<std::size_t>(total, 1));
 
   switch (tuning.algo) {
-    case CollAlgo::Flat: {
-      const int tag = proc.allocCollectiveTags(n);
-      co_await flatAllgatherBytes(proc, sizes, offs, mine, full, tag);
-      break;
-    }
+    case CollAlgo::Flat:
     case CollAlgo::Ring: {
       const int tag = proc.allocCollectiveTags(n);
-      co_await ringAllgatherBytes(proc, sizes, offs, mine, full, tag);
+      copyOwnSlot(full, offs[me], mine, mine_view.packed);
+      Schedule sched;
+      if (tuning.algo == CollAlgo::Flat) {
+        sched = flatAllgather(me, n, sizes, mine, full, tag);
+      } else {
+        sched = ringAllgather(me, n, sizes, full, tag);
+      }
+      co_await runSchedule(proc, sched);
       break;
     }
     case CollAlgo::Tree: {
@@ -975,22 +897,21 @@ sim::Task<void> allgatherv(Proc& proc, gpu::MemSpan send, gpu::MemSpan recv,
       const int tag_down = proc.allocCollectiveTags(n);
       co_await treeGatherBytes(proc, /*root=*/0, tuning.radix, sizes, mine,
                                full, tag_up);
-      co_await treeBcastBytes(proc, /*root=*/0, tuning.radix, full, total,
-                              tag_down);
+      const Schedule down =
+          treeBcast(me, n, /*root=*/0, tuning.radix, full, total, tag_down);
+      co_await runSchedule(proc, down);
       break;
     }
   }
 
   // Every contribution — own included — lands in recv through the same
-  // warmed unpack plan, in pinned rank order.
+  // cached unpack plan, in pinned rank order.
   for (int r = 0; r < n; ++r) {
     const BlockView& bv = views[static_cast<std::size_t>(r)];
     if (bv.packed == 0) continue;
     co_await proc.unpack(full.subspan(offs[static_cast<std::size_t>(r)],
                                       bv.packed),
-                         blockSpan(recv, bv),
-                         blocks[static_cast<std::size_t>(r)].type,
-                         blocks[static_cast<std::size_t>(r)].count);
+                         blockSpan(recv, bv), bv.type, bv.count);
   }
   proc.freeDevice(full);
   if (mine_view.packed > 0) proc.freeDevice(mine);
@@ -1005,16 +926,9 @@ sim::Task<void> neighborAlltoallw(Proc& proc, gpu::MemSpan buf,
   for (const NeighborOp& op : ops) {
     span = std::max(span, std::max(op.send_tag, op.recv_tag) + 1);
   }
-  const int tag = proc.allocCollectiveTags(span);
-  std::vector<RequestPtr> reqs;
-  reqs.reserve(ops.size() * 2);
-  for (const NeighborOp& op : ops) {
-    reqs.push_back(co_await proc.irecv(buf, op.recv_type, 1, op.neighbor,
-                                       tag + op.recv_tag));
-    reqs.push_back(co_await proc.isend(buf, op.send_type, 1, op.neighbor,
-                                       tag + op.send_tag));
-  }
-  co_await proc.waitall(std::move(reqs));
+  const Schedule sched =
+      neighborExchange(buf, ops, proc.allocCollectiveTags(span));
+  co_await runSchedule(proc, sched);
 }
 
 }  // namespace dkf::mpi

@@ -1,38 +1,17 @@
-// Fusion-aware collective operations layered on the point-to-point runtime.
+// Fusion-aware collectives layered on the point-to-point runtime (MODEL.md
+// §12). The halo applications the paper targets use neighborhood
+// collectives (MPI_Neighbor_alltoallw is exactly "send one derived-datatype
+// face to each neighbor"), and the MVAPICH context the fusion framework
+// ships in provides the full collective set. Each fixed-sequence collective
+// is a schedule of post rounds run by one executor (mpi/schedule.hpp).
 //
-// The halo applications the paper targets use neighborhood collectives
-// (MPI_Neighbor_alltoallw is exactly "send one derived-datatype face to
-// each neighbor"), and the MVAPICH context the fusion framework ships in
-// provides the full collective set. The v-collectives here route derived-
-// datatype traffic over selectable topologies (MODEL.md §12):
-//
-//   flat   direct sends to every peer (the seed's textbook algorithms)
-//   ring   staged pairwise/ring exchange, two messages in flight per step
-//   tree   k-ary range tree (gather/bcast) or radix-digit store-and-forward
-//          (alltoallv), pinned child order = increasing rank
-//
-// The pack/unpack stage of every hop is compiled once per distinct layout
-// signature through the PR 5 FusionPlan/PlanCache — collectives pre-resolve
-// their block plans before the peer loop, so all destinations sharing a
-// layout signature execute one cached CompiledPlan instead of re-running
-// the solver per peer.
-//
-// Determinism: every reduction folds the ranks' raw contributions in
-// absolute rank order 0..n-1 no matter which topology carried them, so
-// Float64 results are byte-identical across flat/ring/tree and across
-// sweep threads (FP addition is non-associative; a topology-shaped combine
-// order would make the algorithms disagree in the last ulp).
-//
-// Tags: each collective invocation reserves a fresh tag span from
-// Proc::allocCollectiveTags — no fixed `1 << 2x` bases, so concurrent
-// collectives at large rank counts cannot collide (the seed's allreduce
-// overflowed its reduce phase into its bcast phase past ~2k ranks).
-//
-// All take a `Comm`-like participant list: a contiguous range of ranks
-// [0, nranks) of the runtime (the benchmarks' world).
+// Every reduction folds the ranks' raw contributions in absolute rank order
+// 0..n-1 whichever topology carried them, so Float64 results are
+// byte-identical across algorithms and sweep threads. Each invocation
+// reserves a fresh tag span from Proc::allocCollectiveTags. All run over
+// the runtime's whole world, ranks [0, worldSize()).
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "mpi/runtime.hpp"
@@ -46,7 +25,8 @@ enum class ReduceOp { Sum, Min, Max };
 /// bytes).
 enum class ReduceType { Float64, Int64 };
 
-/// Which topology a collective routes over.
+/// Which topology a collective routes over: direct sends to every peer,
+/// a staged ring, or a k-ary tree (MODEL.md §12).
 enum class CollAlgo { Flat, Ring, Tree };
 
 const char* collAlgoName(CollAlgo algo);
@@ -125,10 +105,10 @@ sim::Task<void> allgatherv(Proc& proc, gpu::MemSpan send, gpu::MemSpan recv,
                            const std::vector<VBlock>& blocks,
                            const CollTuning& tuning = {});
 
-/// Neighborhood alltoall-w: for each neighbor i, send `send_types[i]` from
-/// `buf` and receive `recv_types[i]` into `buf` — the derived-datatype halo
-/// collective (MPI_Neighbor_alltoallw over a cartesian communicator). Tags
-/// pair send i with the neighbor's recv pair_of[i].
+/// Neighborhood alltoall-w: each op sends one `send_type` from `buf` to
+/// `neighbor` and receives one `recv_type` into `buf` from it — the halo
+/// collective (MPI_Neighbor_alltoallw over a cartesian communicator). A
+/// send's `send_tag` is the `recv_tag` of the neighbor's op receiving it.
 struct NeighborOp {
   int neighbor;
   ddt::DatatypePtr send_type;

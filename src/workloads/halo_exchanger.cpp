@@ -24,20 +24,17 @@ HaloExchanger::HaloExchanger(mpi::Proc& proc, gpu::MemSpan block,
              proc.rank() % config_.grid[2]};
 
   const auto faces = halo3dFaces(config_.n, config_.ghost);
-  plan_.reserve(faces.size());
   for (std::size_t f = 0; f < faces.size(); ++f) {
     const auto& face = faces[f];
-    FacePlan p;
-    p.neighbor = rankAt({coords_[0] + face.neighbor_dx[0],
-                         coords_[1] + face.neighbor_dx[1],
-                         coords_[2] + face.neighbor_dx[2]});
     // Face f pairs with the mirrored face f^1 on the neighbor.
-    p.send_tag = static_cast<int>(f);
-    p.recv_tag = static_cast<int>(f ^ 1);
-    p.send_type = face.send_type;
-    p.recv_type = face.recv_type;
-    bytes_per_exchange_ += p.send_type->size();
-    plan_.push_back(std::move(p));
+    faces_.push_back({.neighbor = rankAt({coords_[0] + face.neighbor_dx[0],
+                                          coords_[1] + face.neighbor_dx[1],
+                                          coords_[2] + face.neighbor_dx[2]}),
+                      .send_type = face.send_type,
+                      .recv_type = face.recv_type,
+                      .send_tag = static_cast<int>(f),
+                      .recv_tag = static_cast<int>(f ^ 1)});
+    bytes_per_exchange_ += face.send_type->size();
   }
 }
 
@@ -50,15 +47,7 @@ int HaloExchanger::rankAt(std::array<int, 3> c) const {
 }
 
 sim::Task<void> HaloExchanger::exchange() {
-  std::vector<mpi::RequestPtr> reqs;
-  reqs.reserve(plan_.size() * 2);
-  for (const FacePlan& p : plan_) {
-    reqs.push_back(
-        co_await proc_->irecv(block_, p.recv_type, 1, p.neighbor, p.recv_tag));
-    reqs.push_back(
-        co_await proc_->isend(block_, p.send_type, 1, p.neighbor, p.send_tag));
-  }
-  co_await proc_->waitall(std::move(reqs));
+  co_await mpi::neighborAlltoallw(*proc_, block_, faces_);
   ++exchanges_;
 }
 

@@ -4,16 +4,16 @@
 //
 // The application registers its local block, the rank grid, and the ghost
 // width once; the exchanger derives the subarray datatypes and neighbor
-// mapping (periodic torus), and each exchange() posts all non-blocking
-// face transfers and waits — which is exactly the bulk pattern the fusion
-// engine batches.
+// mapping (periodic torus), and each exchange() is one neighborAlltoallw
+// over the six faces — all non-blocking face transfers posted, then one
+// wait, which is exactly the bulk pattern the fusion engine batches.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <vector>
 
-#include "mpi/runtime.hpp"
+#include "mpi/collectives.hpp"
 #include "workloads/workloads.hpp"
 
 namespace dkf::workloads {
@@ -33,7 +33,7 @@ class HaloExchanger {
   sim::Task<void> exchange();
 
   /// Number of point-to-point operations per exchange (sends + recvs).
-  std::size_t messagesPerExchange() const { return plan_.size() * 2; }
+  std::size_t messagesPerExchange() const { return faces_.size() * 2; }
   /// Payload bytes moved per exchange (sum over faces, one direction).
   std::size_t bytesPerExchange() const { return bytes_per_exchange_; }
   std::size_t exchangesDone() const { return exchanges_; }
@@ -45,19 +45,11 @@ class HaloExchanger {
   int rankAt(std::array<int, 3> c) const;
 
  private:
-  struct FacePlan {
-    int neighbor;
-    int send_tag;
-    int recv_tag;
-    ddt::DatatypePtr send_type;
-    ddt::DatatypePtr recv_type;
-  };
-
   mpi::Proc* proc_;
   gpu::MemSpan block_;
   Config config_;
   std::array<int, 3> coords_{};
-  std::vector<FacePlan> plan_;
+  std::vector<mpi::NeighborOp> faces_;
   std::size_t bytes_per_exchange_{0};
   std::size_t exchanges_{0};
 };
