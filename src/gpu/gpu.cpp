@@ -126,10 +126,6 @@ Gpu::KernelHandle Gpu::launchKernel(StreamId s, std::vector<Op> ops,
                   start, end, "kernel");
   }
 
-  auto gate = std::make_unique<sim::Gate>(*eng_);
-  sim::Gate* gate_ptr = gate.get();
-  gates_.push_back(std::move(gate));
-
   // Keep the ops (and the fan-in hook) alive until the completion events
   // run the data movement.
   struct KernelCtx {
@@ -167,9 +163,7 @@ Gpu::KernelHandle Gpu::launchKernel(StreamId s, std::vector<Op> ops,
     });
     lo = hi;
   }
-  eng_->scheduleAt(end, [gate_ptr] { gate_ptr->open(); });
-
-  return KernelHandle{gate_ptr, start, end, blocks.size(), waves};
+  return KernelHandle{start, end, blocks.size(), waves};
 }
 
 Gpu::CopyHandle Gpu::memcpyAsync(StreamId s, MemSpan dst, MemSpan src) {
@@ -221,15 +215,10 @@ Gpu::CopyHandle Gpu::memcpyAsync(StreamId s, MemSpan dst, MemSpan src) {
                   start, end, "copy");
   }
 
-  auto gate = std::make_unique<sim::Gate>(*eng_);
-  sim::Gate* gate_ptr = gate.get();
-  gates_.push_back(std::move(gate));
-
-  eng_->scheduleAt(end, [gate_ptr, dst, src] {
+  eng_->scheduleAt(end, [dst, src] {
     std::memcpy(dst.bytes.data(), src.bytes.data(), src.size());
-    gate_ptr->open();
   });
-  return CopyHandle{gate_ptr, end};
+  return CopyHandle{end};
 }
 
 Gpu::EventId Gpu::createEvent() {

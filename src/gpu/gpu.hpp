@@ -31,7 +31,6 @@
 #include "gpu/memory.hpp"
 #include "hw/spec.hpp"
 #include "sim/engine.hpp"
-#include "sim/sync.hpp"
 #include "sim/trace.hpp"
 
 namespace dkf::gpu {
@@ -70,8 +69,9 @@ class Gpu {
     }
   };
 
+  /// What a launch reports, fixed at launch time: completion is observed
+  /// through the ops' callbacks (or the stream position), not a handle.
   struct KernelHandle {
-    sim::Gate* done{nullptr};   ///< opens when the whole kernel finishes
     TimeNs start{0};            ///< GPU-side start (after queueing)
     TimeNs end{0};              ///< GPU-side completion
     std::size_t blocks{0};
@@ -82,8 +82,8 @@ class Gpu {
     bool failed{false};
   };
 
+  /// The copy lands (its bytes move) at `end`.
   struct CopyHandle {
-    sim::Gate* done{nullptr};
     TimeNs end{0};
   };
 
@@ -172,7 +172,6 @@ class Gpu {
   DeviceMemory memory_;
   std::vector<Stream> streams_;
   std::vector<Event> events_;
-  std::vector<std::unique_ptr<sim::Gate>> gates_;  // stable addresses
 
   // Copy-path serializers (busy-until per path).
   TimeNs h2d_busy_{0};

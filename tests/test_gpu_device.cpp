@@ -50,7 +50,7 @@ TEST_F(GpuDeviceTest, PackKernelMovesBytesAtCompletion) {
   EXPECT_GT(handle.end, handle.start);
   eng_.run();
   EXPECT_TRUE(completed);
-  EXPECT_TRUE(handle.done->isOpen());
+  EXPECT_EQ(eng_.now(), handle.end);
   // First segment: bytes 0..7; second: 32..39.
   EXPECT_EQ(packed.bytes[8], static_cast<std::byte>(32));
 }
