@@ -144,6 +144,14 @@ RequestPtr Proc::makeRequest(Request::Kind kind, gpu::MemSpan buf,
                              const ddt::DatatypePtr& type, std::size_t count,
                              int peer, int tag) {
   auto layout = layout_cache_.get(type, count);
+  // The layout must lie inside the buffer: a delivery writes every byte it
+  // selects, and nothing downstream checks the buffer's end again.
+  DKF_CHECK_MSG(layout->minOffset() >= 0 &&
+                    static_cast<std::size_t>(layout->endOffset()) <= buf.size(),
+                "a " << buf.size() << "-byte buffer cannot hold " << count
+                     << " elements of its type, which span bytes ["
+                     << layout->minOffset() << ", " << layout->endOffset()
+                     << ")");
   auto req = std::allocate_shared<Request>(
       detail::ArenaAllocator<Request>(request_arena_));
   req->kind = kind;

@@ -422,6 +422,64 @@ TEST(RuntimeConfigCheck, RejectsZeroBaseTimeoutWithReliability) {
   EXPECT_THROW(Runtime(cluster, cfg), CheckFailure);
 }
 
+// ---- Buffer bounds ----
+
+sim::Task<void> sendOne(Proc& p, gpu::MemSpan buf, ddt::DatatypePtr type,
+                        int peer) {
+  co_await p.wait(co_await p.isend(buf, type, 1, peer, 0));
+}
+
+sim::Task<void> recvOne(Proc& p, gpu::MemSpan buf, ddt::DatatypePtr type,
+                        int peer) {
+  co_await p.wait(co_await p.irecv(buf, type, 1, peer, 0));
+}
+
+// Regression: an eager contiguous delivery checked the payload only against
+// the receive's (type, count), never against its buffer, so a 16-byte
+// receive of a 1 KiB type wrote the rest into the next device allocation.
+TEST(RequestBounds, ReceiveBufferShorterThanItsTypeFailsCheck) {
+  World w(hw::lassen(), 2, RuntimeConfig{});
+  constexpr std::size_t kBytes = 1024;
+  auto sbuf = w.rt.proc(0).allocDevice(kBytes);
+  auto short_buf = w.rt.proc(4).allocDevice(16);
+  auto next = w.rt.proc(4).allocDevice(kBytes);
+  fillPattern(sbuf, 7);
+  std::memset(next.bytes.data(), 0x5A, kBytes);
+  const auto type = Datatype::contiguous(kBytes, Datatype::byte());
+  w.eng.spawn(sendOne(w.rt.proc(0), sbuf, type, 4));
+  w.eng.spawn(recvOne(w.rt.proc(4), short_buf, type, 0));
+  EXPECT_THROW(w.eng.run(), CheckFailure);
+  for (const std::byte b : next.bytes) ASSERT_EQ(b, std::byte{0x5A});
+}
+
+// The check sits where every post builds its request: the single posts,
+// the batch posts and the persistent inits.
+TEST(RequestBounds, EveryPostChecksItsBuffer) {
+  World w(hw::lassen(), 2, RuntimeConfig{});
+  auto& p = w.rt.proc(0);
+  const auto buf = p.allocDevice(64);
+  const auto wide = Datatype::contiguous(128, Datatype::byte());
+  const std::size_t lens[] = {4};
+  const std::int64_t below_start[] = {-8};
+  const auto below = Datatype::hindexed(lens, below_start, Datatype::byte());
+  const auto fails = [&](sim::Task<void> post) {
+    w.eng.spawn(std::move(post));
+    EXPECT_THROW(w.eng.run(), CheckFailure);
+  };
+  fails([](Proc& q, gpu::MemSpan b, ddt::DatatypePtr t) -> sim::Task<void> {
+    co_await q.isend(b, t, 1, 4, 0);
+  }(p, buf, wide));
+  fails([](Proc& q, gpu::MemSpan b, ddt::DatatypePtr t) -> sim::Task<void> {
+    co_await q.irecv(b, t, 1, 4, 0);
+  }(p, buf, below));
+  fails([](Proc& q, std::vector<Proc::RecvSpec> specs) -> sim::Task<void> {
+    co_await q.irecvBatch(std::move(specs));
+  }(p, {Proc::RecvSpec{buf, wide, 1, 4, 0}}));
+  fails([](Proc& q, gpu::MemSpan b, ddt::DatatypePtr t) -> sim::Task<void> {
+    co_await q.recvInit(b, t, 1, 4, 0);
+  }(p, buf, wide));
+}
+
 // ---- Barrier ----
 
 TEST(Barrier, ReleasesAllRanksTogether) {
